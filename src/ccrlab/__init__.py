@@ -35,6 +35,7 @@ from .invariant_sets import (
     real_gcd,
 )
 from .matrix_core import (
+    Propagator,
     SpectralData,
     Subspace,
     commutator,
@@ -42,6 +43,7 @@ from .matrix_core import (
     eigh,
     evolve,
     normal_eig,
+    propagator,
     require_hermitian,
     span,
 )

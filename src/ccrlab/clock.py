@@ -9,16 +9,26 @@ expectation of T is linear in the elapsed parameter with slope +1
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import BasePointNotInvariant, ConstraintViolated, DegenerateHamiltonian
-from .invariant_sets import check_membership
-from .matrix_core import Subspace, commutator, eigh, evolve, frobenius, require_hermitian
+from .invariant_sets import _membership_residual
+from .matrix_core import (
+    Subspace,
+    commutator,
+    eigenspace,
+    eigh,
+    evolve,
+    frobenius,
+    propagator,
+    require_hermitian,
+    require_normalized,
+)
 from .pair_builder import CanonicalSolution
-from .uncertainty import expectation, uncertainty
+from .uncertainty import std_from_moments
 
 PASSAGE_TIME = +1
 TIME_OF_ARRIVAL = -1
@@ -30,19 +40,26 @@ class WindowTooWide(UserWarning):
 
 @dataclass(frozen=True)
 class ClockConfig:
+    """Generator H and time operator T, certified against tol on construction.
+
+    tol is the tolerance of those construction checks only; each clock
+    routine takes its own.
+    """
+
     H: np.ndarray
     T: np.ndarray
     domain: Subspace
     sign: int = PASSAGE_TIME
     hbar: float = 1.0
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (PASSAGE_TIME, TIME_OF_ARRIVAL):
             raise ValueError("sign must be +1 (passage time) or -1 (time of arrival)")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        h = require_hermitian(self.H)
-        t = require_hermitian(self.T)
+        h = require_hermitian(self.H, self.tol)
+        t = require_hermitian(self.T, self.tol)
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "T", t)
         if self.domain.dim == 0:
@@ -50,7 +67,7 @@ class ClockConfig:
         c = commutator(t, h)
         resid = c @ self.domain.basis - (self.sign * 1j * self.hbar) * self.domain.basis
         worst = float(np.max(np.linalg.norm(resid, axis=0)))
-        allowed = DEFAULT_TOL.ccr_tol * max(frobenius(t) * frobenius(h), 1.0)
+        allowed = self.tol.ccr_tol * max(frobenius(t) * frobenius(h), 1.0)
         if worst > allowed:
             raise ConstraintViolated(
                 f"[T, H] - {self.sign:+d}*i*hbar fails on the domain (residual {worst:.3e})")
@@ -67,8 +84,6 @@ def clock_from_solution(sol: CanonicalSolution, h=None, sign: int = PASSAGE_TIME
     For the time-of-arrival sign the domain is the eigenspace of [A, B]
     at -i*hbar instead of the solution's own domain.
     """
-    from .matrix_core import eigenspace
-
     h = sol.B if h is None else np.asarray(h, dtype=complex)
     domain = sol.domain
     if sign == TIME_OF_ARRIVAL:
@@ -76,7 +91,7 @@ def clock_from_solution(sol: CanonicalSolution, h=None, sign: int = PASSAGE_TIME
         domain = eigenspace(c, -1j * sol.hbar, 100 * tol.spectral_tol, tol)
         if domain.dim == 0:
             raise ConstraintViolated("no -i*hbar eigenspace: pair has no arrival-type domain")
-    return ClockConfig(h, sol.A, domain, sign, sol.hbar)
+    return ClockConfig(h, sol.A, domain, sign, sol.hbar, tol)
 
 
 def heisenberg_T(cfg: ClockConfig, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -104,25 +119,31 @@ def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
 
     The base point must belong to the invariant set of exp(-iHt/hbar)
     (checked by evolving the domain), and phi must be a unit domain state.
+
+    H is decomposed once, H = V diag(E) V†, and every sample is read in
+    its eigenbasis: with T_e = V†TV and psi(t) = exp(-iEt/hbar) * V†phi,
+    <T(t)> = <psi(t), T_e psi(t)> and <T(t)^2> = ||T_e psi(t)||^2.
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    base_sol = CanonicalSolution(cfg.T, cfg.H, cfg.sign * 1j * cfg.hbar,
-                                 cfg.domain, "clock", cfg.hbar)
-    member, resid = check_membership(base_sol, cfg.H, base_point, cfg.hbar, tol)
-    if not member:
+    prop = propagator(cfg.H, cfg.hbar, tol)
+    resid = _membership_residual(prop, cfg.domain.basis, base_point)
+    if resid > tol.membership_tol:
         raise BasePointNotInvariant(
             f"t = {base_point} leaves the domain (residual {resid:.3e})")
     tau_grid = np.asarray(tau_grid, dtype=float).reshape(-1)
-    dh = uncertainty(cfg.H, phi, tol)
-    exps = np.empty_like(tau_grid)
-    dts = np.empty_like(tau_grid)
-    for k, tau in enumerate(tau_grid):
-        tt = heisenberg_T(cfg, base_point + tau, tol)
-        exps[k] = expectation(tt, phi)
-        dts[k] = uncertainty(tt, phi, tol)
-    t0 = expectation(heisenberg_T(cfg, base_point, tol), phi)
-    return ClockTrace(tau_grid, exps, dts, np.full_like(tau_grid, dh), dts * dh,
-                      t0, base_point, cfg.h_norm, cfg.hbar)
+    v = prop.spectral.eigenvectors
+    phi_e = v.conj().T @ require_normalized(phi, tol)
+    t_e = require_hermitian(v.conj().T @ cfg.T @ v, tol)
+    # one column per sample, and base_point itself last for t0
+    psi = prop.phases(np.append(base_point + tau_grid, base_point)) * phi_e[:, None]
+    t_psi = t_e @ psi
+    means = np.real(np.sum(psi.conj() * t_psi, axis=0))
+    second_moments = np.real(np.sum(t_psi.conj() * t_psi, axis=0))
+    dts = std_from_moments(means[:-1], second_moments[:-1])
+    weights = np.abs(phi_e) ** 2
+    e = prop.spectral.eigenvalues
+    dh = float(std_from_moments(weights @ e, weights @ e ** 2))
+    return ClockTrace(tau_grid, means[:-1], dts, np.full_like(tau_grid, dh), dts * dh,
+                      float(means[-1]), base_point, cfg.h_norm, cfg.hbar)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import EmptyInput, NonPositiveValue
-from .matrix_core import eigh, evolve
+from .matrix_core import Propagator, eigh, propagator
 from .pair_builder import CanonicalSolution
 
 SPECTATOR_TOL = 1e-10  # amplitude below which a level does not see the domain
@@ -138,6 +138,15 @@ def invariant_set(sol: CanonicalSolution, h, cfg: GcdConfig = GcdConfig(),
                         generator_gcd=g, excluded_levels=frozenset(excluded))
 
 
+def _membership_residual(prop: Propagator, basis: np.ndarray, t: float) -> float:
+    """Largest distance of an evolved basis vector U(t) b from span(basis)."""
+    if basis.shape[1] == 0:
+        return 0.0
+    moved = prop.apply(t, basis)
+    proj = basis @ (basis.conj().T @ moved)
+    return float(np.max(np.linalg.norm(moved - proj, axis=0)))
+
+
 def check_membership(sol: CanonicalSolution, h, t: float, hbar: float = 1.0,
                      tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether U(t) maps the whole domain back into the domain.
@@ -145,8 +154,5 @@ def check_membership(sol: CanonicalSolution, h, t: float, hbar: float = 1.0,
     Returns (is_member, residual) where residual is the largest distance
     of an evolved basis vector from the domain subspace.
     """
-    u = evolve(h, t, hbar, tol)
-    moved = u @ sol.domain.basis
-    proj = sol.domain.basis @ (sol.domain.basis.conj().T @ moved)
-    residual = float(np.max(np.linalg.norm(moved - proj, axis=0))) if sol.domain.dim else 0.0
+    residual = _membership_residual(propagator(h, hbar, tol), sol.domain.basis, t)
     return residual <= tol.membership_tol, residual

@@ -189,13 +189,44 @@ def eigenspace(m, lam: complex, tol: float, config: ToleranceConfig = DEFAULT_TO
     return Subspace(fix_phase(vecs[:, keep]))
 
 
-def evolve(h, t: float, hbar: float = 1.0, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Unitary exp(-i H t / hbar) for Hermitian H."""
+@dataclass(frozen=True)
+class Propagator:
+    """U(t) = exp(-i H t / hbar) for one Hermitian H, from one eigendecomposition.
+
+    With H = V diag(E) V†, U(t) = V diag(exp(-i E t / hbar)) V†, so every
+    time shares the eigenbasis V and only the phases depend on t.
+    """
+
+    spectral: SpectralData
+    hbar: float = 1.0
+
+    def phases(self, t) -> np.ndarray:
+        """exp(-i E t / hbar): shape (N,) for a scalar t, (N, S) for S times."""
+        e = self.spectral.eigenvalues
+        return np.exp(-1j * np.multiply.outer(e, np.asarray(t, dtype=float)) / self.hbar)
+
+    def unitary(self, t: float) -> np.ndarray:
+        v = self.spectral.eigenvectors
+        return (v * self.phases(t)) @ v.conj().T
+
+    def apply(self, t: float, x) -> np.ndarray:
+        """U(t) @ x for a vector or a matrix of columns, without forming U(t)."""
+        v = self.spectral.eigenvectors
+        coeffs = v.conj().T @ np.asarray(x, dtype=complex)
+        phases = self.phases(t)
+        return v @ (phases * coeffs if coeffs.ndim == 1 else phases[:, None] * coeffs)
+
+
+def propagator(h, hbar: float = 1.0, tol: ToleranceConfig = DEFAULT_TOL) -> Propagator:
+    """Propagator of the certified Hermitian generator h."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    sd = eigh(h, tol)
-    phases = np.exp(-1j * sd.eigenvalues * t / hbar)
-    return (sd.eigenvectors * phases) @ sd.eigenvectors.conj().T
+    return Propagator(eigh(h, tol), hbar)
+
+
+def evolve(h, t: float, hbar: float = 1.0, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Unitary exp(-i H t / hbar) for Hermitian H."""
+    return propagator(h, hbar, tol).unitary(t)
 
 
 def commutator(a, b) -> np.ndarray:

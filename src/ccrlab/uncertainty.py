@@ -36,15 +36,29 @@ def uncertainty(a, phi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if abs(np.linalg.norm(phi) - 1.0) > tol.norm_tol:
         raise NotNormalized("state must have unit norm")
     aphi = a @ phi
-    mean = float(np.real(np.vdot(phi, aphi)))
-    var = float(np.real(np.vdot(aphi, aphi))) - mean * mean
-    if var < -1e-14:
-        raise ValueError(f"variance {var} is negative beyond rounding")
-    return float(np.sqrt(max(var, 0.0)))
+    mean = np.real(np.vdot(phi, aphi))
+    return float(std_from_moments(mean, np.real(np.vdot(aphi, aphi))))
+
+
+def std_from_moments(mean, second):
+    """sqrt(<A^2> - <A>^2) elementwise from the first two moments.
+
+    Raises if any variance is negative beyond rounding.
+    """
+    var = np.asarray(second, dtype=float) - np.asarray(mean, dtype=float) ** 2
+    if np.any(var < -1e-14):
+        raise ValueError(f"variance {np.min(var)} is negative beyond rounding")
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 @dataclass(frozen=True)
 class UncertaintyReport:
+    """Uncertainties of a pair on one domain state.
+
+    gamma is the fitted value whether or not the report is saturated;
+    gamma_residual says how far phi is from an eigenvector of A - i*gamma*B.
+    """
+
     delta_A: float
     delta_B: float
     product: float
@@ -90,8 +104,7 @@ def audit_pair(sol: CanonicalSolution, phi, tol: ToleranceConfig = DEFAULT_TOL) 
     floor = abs(sol.c) / 2.0
     gamma, residual = _fit_gamma(sol.A, sol.B, phi)
     saturated = residual <= tol.saturation_tol and abs(gamma) > 1e-10
-    return UncertaintyReport(da, db, da * db, floor, saturated,
-                             gamma if saturated else gamma, residual)
+    return UncertaintyReport(da, db, da * db, floor, saturated, gamma, residual)
 
 
 def nonvanishing_check(sol: CanonicalSolution, phi, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

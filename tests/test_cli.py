@@ -202,3 +202,20 @@ def test_stdin_matrix(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "classify", "--a", "-", "--b", str(tmp_path / "sy.json"))
     assert code == 0
     assert json.loads(stdout)["relations"][0]["c"] == [0.0, 2.0]
+
+
+def test_clock_honors_env_tolerance(tmp_path, capsys, monkeypatch):
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 2.0, 3.5)))
+    obj = serialize.solution_to_obj(sol)
+    a = sol.A.copy()
+    a[0, 1] += 1e-8  # relation residual above the default ccr_tol
+    a[1, 0] += 1e-8
+    obj["A"] = serialize.matrix_to_obj(a)
+    path = tmp_path / "sol.json"
+    serialize.dump(obj, str(path))
+    code, _, _ = run(capsys, "clock", "--solution", str(path), "--csv", "-")
+    assert code == 2
+    monkeypatch.setenv("CCRLAB_TOL", "1e-7")
+    code, stdout, _ = run(capsys, "clock", "--solution", str(path), "--csv", "-")
+    assert code == 0
+    assert stdout.startswith("tau,expectation")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ccrlab.matrix_core
 from ccrlab import errors
 from ccrlab.clock import (
     PASSAGE_TIME,
@@ -13,13 +14,19 @@ from ccrlab.clock import (
     heisenberg_T,
     linearity_fit,
 )
+from ccrlab.config import DEFAULT_TOL
+from ccrlab.invariant_sets import InvariantKind, invariant_set
 from ccrlab.matrix_core import evolve
 from ccrlab.pair_builder import (
+    CATALOG_FAMILIES,
+    CanonicalSolution,
     PairParams,
     SpectrumSpec,
     build_degenerate,
     build_nondegenerate,
+    catalog_3d,
 )
+from ccrlab.uncertainty import expectation, uncertainty
 
 
 def clock_2d(a1=0.0, a2=0.0, e1=0.0, e2=1.0):
@@ -168,3 +175,92 @@ def test_quadratic_residual_scaling_about_offset_center():
         residuals.append(linearity_fit(trace).max_residual)
     ratio = residuals[0] / residuals[1]
     assert ratio == pytest.approx(4.0, rel=0.2)
+
+
+def reference_trace(cfg, phi, base_point, tau_grid):
+    """The per-sample path: one Heisenberg-picture T(t) per sample."""
+    ts = [heisenberg_T(cfg, base_point + tau) for tau in tau_grid]
+    return (np.array([expectation(t, phi) for t in ts]),
+            np.array([uncertainty(t, phi) for t in ts]),
+            expectation(heisenberg_T(cfg, base_point), phi))
+
+
+def assert_matches_reference(cfg, phi, base_point, tau_grid):
+    trace = clock_trace(cfg, phi, base_point, tau_grid)
+    exps, dts, t0 = reference_trace(cfg, phi, base_point, tau_grid)
+    assert np.max(np.abs(trace.expectation - exps)) <= 1e-12
+    assert np.max(np.abs(trace.delta_T - dts)) <= 1e-12
+    assert abs(trace.t0 - t0) <= 1e-12
+    assert np.max(np.abs(trace.delta_H - uncertainty(cfg.H, phi))) <= 1e-12
+
+
+def random_unit(basis, rng):
+    v = basis @ (rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1]))
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+@pytest.mark.parametrize("sign", [PASSAGE_TIME, TIME_OF_ARRIVAL])
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+def test_trace_matches_per_sample_path(n, sign, hbar):
+    rng = np.random.default_rng(n)
+    levels = np.cumsum(rng.integers(1, 4, size=n)).astype(float)
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate(levels), PairParams(hbar=hbar))
+    # [A, -B] = -[A, B], so -B makes the solution's domain an arrival domain
+    cfg = clock_from_solution(sol, h=sol.B if sign == PASSAGE_TIME else -sol.B, sign=sign)
+    iset = invariant_set(sol, sol.B, hbar=hbar)
+    assert iset.kind is InvariantKind.LATTICE
+    window = 0.05 * hbar / cfg.h_norm
+    assert_matches_reference(cfg, random_unit(cfg.domain.basis, rng), iset.lattice_point(1),
+                             np.linspace(-window, window, 11))
+
+
+@pytest.mark.parametrize("family", CATALOG_FAMILIES)
+def test_catalog_clock_traces_match_per_sample_path(family):
+    rng = np.random.default_rng(7)
+    tau = np.linspace(-0.02, 0.02, 7)
+    clocks = 0
+    for entry in catalog_3d(family):
+        for sign in (PASSAGE_TIME, TIME_OF_ARRIVAL):
+            if entry.c != sign * 1j * entry.solution.hbar:
+                continue
+            cfg = clock_from_solution(entry.solution, sign=sign)
+            assert_matches_reference(cfg, random_unit(cfg.domain.basis, rng), 0.0, tau)
+            clocks += 1
+    assert clocks >= 1
+
+
+def test_trace_decomposes_generator_once(monkeypatch):
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate(np.arange(8.0)))
+    cfg = clock_from_solution(sol)
+    calls = []
+    eigh = ccrlab.matrix_core.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(ccrlab.matrix_core, "eigh", counting_eigh)
+    trace = clock_trace(cfg, cfg.domain.basis[:, 0], 2 * np.pi, np.linspace(-0.01, 0.01, 101))
+    assert trace.expectation.shape == (101,)
+    assert len(calls) == 1
+
+
+def test_trace_rejects_unnormalized_state():
+    sol, cfg = clock_2d()
+    with pytest.raises(errors.NotNormalized):
+        clock_trace(cfg, 2 * cfg.domain.basis[:, 0], 0.0, np.array([0.0]))
+
+
+def test_clock_certifies_relation_with_caller_tolerance():
+    base = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 2.0, 3.5)))
+    bump = np.zeros((4, 4), dtype=complex)
+    bump[0, 1] = bump[1, 0] = 1e-8  # relation residual above the default ccr_tol
+    sol = CanonicalSolution(base.A + bump, base.B, base.c, base.domain, "perturbed", base.hbar)
+    loose = DEFAULT_TOL.scaled(1e3)
+    assert clock_from_solution(sol, tol=loose).domain.dim == 3
+    with pytest.raises(errors.ConstraintViolated):
+        clock_from_solution(sol)
+    with pytest.raises(errors.ConstraintViolated):
+        ClockConfig(sol.B, sol.A, sol.domain)
+    ClockConfig(sol.B, sol.A, sol.domain, tol=loose)

@@ -12,6 +12,7 @@ from ccrlab.matrix_core import (
     fix_phase,
     hermiticity_defect,
     normal_eig,
+    propagator,
     require_hermitian,
     span,
 )
@@ -164,3 +165,35 @@ def test_normal_eig_diagonalizes():
     m = 1j * random_hermitian(4, 9)
     vals, vecs = normal_eig(m)
     assert np.linalg.norm(m @ vecs - vecs * vals, "fro") < 1e-12
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+def test_propagator_apply_matches_evolve(hbar):
+    h = random_hermitian(6, 21)
+    rng = np.random.default_rng(4)
+    vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+    mat = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    prop = propagator(h, hbar)
+    for t in (0.0, 0.7, -3.1):
+        u = evolve(h, t, hbar)
+        assert np.linalg.norm(prop.apply(t, vec) - u @ vec) <= 1e-12
+        assert np.linalg.norm(prop.apply(t, mat) - u @ mat) <= 1e-12
+        assert np.linalg.norm(prop.unitary(t) - u) <= 1e-12
+
+
+def test_propagator_phases_and_inverse():
+    h = random_hermitian(5, 12)
+    prop = propagator(h)
+    assert np.array_equal(prop.phases(0.0), np.ones(5))
+    times = np.array([0.0, 0.3, -1.2])
+    batch = prop.phases(times)
+    assert batch.shape == (5, 3)
+    for k, t in enumerate(times):
+        assert np.array_equal(batch[:, k], prop.phases(t))
+    t = 2.37
+    assert np.linalg.norm(prop.unitary(t) @ prop.unitary(-t) - np.eye(5)) <= 1e-12
+
+
+def test_propagator_requires_positive_hbar():
+    with pytest.raises(ValueError):
+        propagator(np.eye(2), hbar=-1.0)

@@ -62,6 +62,7 @@ def test_2d_unequal_diagonal_not_saturated():
     report = audit_pair(sol, sol.domain.basis[:, 0])
     assert report.product > 0.5 + 1e-3
     assert not report.saturated
+    assert isinstance(report.gamma, float)
 
 
 def test_2d_product_monotone_in_diagonal_gap():

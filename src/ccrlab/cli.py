@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Matrices and solutions travel as JSON (complex entries as [re, im]
-pairs), clock traces as CSV.  Exit codes: 0 success, 1 I/O or parse
-failure, 2 constraint violation, 3 commuting pair, 4 invariant-set
-violation.
+pairs), clock traces as CSV.  Exit codes: 0 success, 1 I/O, parse or
+malformed-input failure (e.g. levels not increasing), 2 constraint
+violation, 3 commuting pair, 4 invariant-set violation.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .pair_builder import (
     catalog_3d,
     default_catalog_params,
 )
+from .uncertainty import audit_pair
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -157,8 +158,6 @@ def _domain_state(sol, args) -> np.ndarray:
 
 
 def cmd_audit(args, tol) -> int:
-    from .uncertainty import audit_pair
-
     sol = serialize.solution_from_obj(serialize.load(args.solution))
     phi = _domain_state(sol, args)
     report = audit_pair(sol, phi, tol)

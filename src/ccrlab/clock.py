@@ -24,6 +24,7 @@ from .matrix_core import (
     evolve,
     frobenius,
     propagator,
+    relation_residual,
     require_hermitian,
     require_normalized,
 )
@@ -64,9 +65,8 @@ class ClockConfig:
         object.__setattr__(self, "T", t)
         if self.domain.dim == 0:
             raise ConstraintViolated("clock domain is empty")
-        c = commutator(t, h)
-        resid = c @ self.domain.basis - (self.sign * 1j * self.hbar) * self.domain.basis
-        worst = float(np.max(np.linalg.norm(resid, axis=0)))
+        worst = relation_residual(commutator(t, h), self.sign * 1j * self.hbar,
+                                  self.domain.basis)
         allowed = self.tol.ccr_tol * max(frobenius(t) * frobenius(h), 1.0)
         if worst > allowed:
             raise ConstraintViolated(
@@ -88,7 +88,7 @@ def clock_from_solution(sol: CanonicalSolution, h=None, sign: int = PASSAGE_TIME
     domain = sol.domain
     if sign == TIME_OF_ARRIVAL:
         c = commutator(sol.A, h)
-        domain = eigenspace(c, -1j * sol.hbar, 100 * tol.spectral_tol, tol)
+        domain = eigenspace(c, -1j * sol.hbar, tol.relation_window, tol)
         if domain.dim == 0:
             raise ConstraintViolated("no -i*hbar eigenspace: pair has no arrival-type domain")
     return ClockConfig(h, sol.A, domain, sign, sol.hbar, tol)
@@ -143,7 +143,7 @@ def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
     e = prop.spectral.eigenvalues
     dh = float(std_from_moments(weights @ e, weights @ e ** 2))
     return ClockTrace(tau_grid, means[:-1], dts, np.full_like(tau_grid, dh), dts * dh,
-                      float(means[-1]), base_point, cfg.h_norm, cfg.hbar)
+                      float(means[-1]), base_point, float(np.max(np.abs(e))), cfg.hbar)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from .matrix_core import (
     frobenius,
     normal_eig,
     require_hermitian,
-    require_normal,
 )
+from .pair_builder import CanonicalSolution
 
 __all__ = [
     "Relation", "RelationReport", "classify", "commutator", "as_solution",
@@ -81,8 +81,6 @@ def classify(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RelationReport:
 
 def as_solution(a, b, relation: Relation, hbar: float = 1.0):
     """Package a classified relation as a solution record for downstream use."""
-    from .pair_builder import CanonicalSolution
-
     return CanonicalSolution(as_matrix(a), as_matrix(b), relation.c,
                              relation.domain, "classified", hbar)
 
@@ -97,7 +95,6 @@ def dft_zero_diagonal(c, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     scale = max(frobenius(c), 1.0)
     if abs(np.trace(c)) > 1e-10 * scale:
         raise NotTraceless(f"trace {np.trace(c)} is not zero within tolerance")
-    require_normal(c, tol)
     _, q = normal_eig(c, tol)
     n = c.shape[0]
     k = np.arange(n)

@@ -8,7 +8,7 @@ spectral tolerance and rescales the derived tolerances proportionally.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 _BASE_SPECTRAL_TOL = 1e-10
 
@@ -23,17 +23,15 @@ class ToleranceConfig:
     membership_tol: float = 1e-8     # invariant-set membership residual
     saturation_tol: float = 1e-8     # minimum-uncertainty detector residual
 
+    @property
+    def relation_window(self) -> float:
+        """Relative window, 100x spectral_tol, within which a computed
+        eigenvalue matches the c of a relation (or a residual counts as zero)."""
+        return 100 * self.spectral_tol
+
     def scaled(self, factor: float) -> "ToleranceConfig":
-        return replace(
-            self,
-            hermiticity_tol=self.hermiticity_tol * factor,
-            spectral_tol=self.spectral_tol * factor,
-            cluster_tol=self.cluster_tol * factor,
-            norm_tol=self.norm_tol * factor,
-            ccr_tol=self.ccr_tol * factor,
-            membership_tol=self.membership_tol * factor,
-            saturation_tol=self.saturation_tol * factor,
-        )
+        """Every tolerance multiplied by factor."""
+        return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -125,7 +125,8 @@ def invariant_set(sol: CanonicalSolution, h, cfg: GcdConfig = GcdConfig(),
         v = sol.domain.basis[:, 0]
         mean = np.real(np.vdot(v, h @ v))
         resid = np.linalg.norm(h @ v - mean * v)
-        if resid <= 100 * tol.spectral_tol * max(np.linalg.norm(h, 2), 1.0):
+        h_norm = float(np.max(np.abs(sd.eigenvalues)))
+        if resid <= tol.relation_window * max(h_norm, 1.0):
             return InvariantSet(InvariantKind.FULL_LINE, excluded_levels=frozenset(excluded))
     if not diffs:
         # domain confined to a single eigenspace of H: every domain state

@@ -235,3 +235,10 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} are not conformable")
     return a @ b - b @ a
+
+
+def relation_residual(c_mat: np.ndarray, c: complex, basis: np.ndarray) -> float:
+    """Largest ||C d - c d|| over the columns d of basis; 0 for no columns."""
+    if basis.shape[1] == 0:
+        return 0.0
+    return float(np.max(np.linalg.norm(c_mat @ basis - c * basis, axis=0)))

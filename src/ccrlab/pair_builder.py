@@ -11,7 +11,7 @@ characteristic constraint symbolically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .matrix_core import (
     commutator,
     eigenspace,
     frobenius,
+    relation_residual,
     require_hermitian,
 )
 
@@ -73,20 +74,7 @@ class SpectrumSpec:
 
     def level_of_index(self) -> np.ndarray:
         """Flat basis index -> level index map."""
-        out = np.empty(self.dim, dtype=int)
-        k = 0
-        for s, m in enumerate(self.multiplicities):
-            out[k:k + m] = s
-            k += m
-        return out
-
-    def level_slices(self) -> list[slice]:
-        slices = []
-        k = 0
-        for m in self.multiplicities:
-            slices.append(slice(k, k + m))
-            k += m
-        return slices
+        return np.repeat(np.arange(self.levels), self.multiplicities)
 
     def b_matrix(self) -> np.ndarray:
         return np.diag(np.repeat(np.asarray(self.values, dtype=float),
@@ -165,11 +153,7 @@ class CanonicalSolution:
 
     def residual(self) -> float:
         """Max over domain basis vectors of ||[A,B] phi - c phi||."""
-        if self.domain.dim == 0:
-            return 0.0
-        c = self.commutator()
-        r = c @ self.domain.basis - self.c * self.domain.basis
-        return float(np.max(np.linalg.norm(r, axis=0)))
+        return relation_residual(self.commutator(), self.c, self.domain.basis)
 
     def ccr_tolerance(self, tol: ToleranceConfig = DEFAULT_TOL) -> float:
         return tol.ccr_tol * max(frobenius(self.A) * frobenius(self.B), 1.0)
@@ -185,22 +169,15 @@ class CanonicalSolution:
 
 
 def _assemble_pair(spec: SpectrumSpec, params: PairParams):
+    """A with diag_a on the diagonal, block_b within a level and
+    i*hbar*beta*exp(i*alpha)/(B_k - B_l) across levels; B diagonal."""
     alpha, beta, diag_a, block_b, level = params.resolve(spec)
-    n = spec.dim
-    hbar = params.hbar
-    values = np.asarray(spec.values, dtype=float)
-    a = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                a[k, l] = diag_a[k]
-            elif level[k] == level[l]:
-                a[k, l] = block_b[k, l]
-            else:
-                gap = values[level[k]] - values[level[l]]
-                a[k, l] = beta[k, l] * 1j * hbar * np.exp(1j * alpha[k, l]) / gap
-    b = spec.b_matrix()
-    return a, b
+    b_of_index = np.asarray(spec.values, dtype=float)[level]
+    same_level = level[:, None] == level[None, :]
+    gap = np.where(same_level, 1.0, b_of_index[:, None] - b_of_index[None, :])
+    a = np.where(same_level, block_b, beta * 1j * params.hbar * np.exp(1j * alpha) / gap)
+    np.fill_diagonal(a, diag_a)
+    return a, spec.b_matrix()
 
 
 def _solve(spec: SpectrumSpec, params: PairParams, provenance: str,
@@ -209,15 +186,14 @@ def _solve(spec: SpectrumSpec, params: PairParams, provenance: str,
     require_hermitian(a, tol)
     c = commutator(a, b)
     target = 1j * params.hbar
-    scale = max(frobenius(c), 1.0)
-    domain = eigenspace(c, target, 100 * tol.spectral_tol, tol)
+    domain = eigenspace(c, target, tol.relation_window, tol)
     if domain.dim == 0:
+        window = tol.relation_window * max(frobenius(c), 1.0)
         raise ConstraintViolated(
-            f"i*hbar = {target} is not an eigenvalue of [A, B] "
-            f"(nearest miss beyond {100 * tol.spectral_tol * scale:.3e}); "
+            f"[A, B] has no eigenvalue within {window:.3e} of i*hbar = {target}; "
             "the beta table does not satisfy the characteristic constraint")
     sol = CanonicalSolution(a, b, target, domain, provenance, params.hbar)
-    res = sol.residual()
+    res = relation_residual(c, target, domain.basis)
     if res > sol.ccr_tolerance(tol):
         raise ConstraintViolated(f"commutation residual {res:.3e} exceeds tolerance")
     return sol
@@ -257,16 +233,14 @@ def project_pair(sol: CanonicalSolution, keep, tol: ToleranceConfig = DEFAULT_TO
     keep = sorted(set(int(k) for k in keep))
     if len(keep) < 2:
         raise TooSmall("need at least two retained indices")
-    n = sol.dim
-    p = np.zeros((n, n), dtype=complex)
-    for k in keep:
-        p[k, k] = 1.0
-    a = p @ sol.A @ p
+    kept = np.zeros(sol.dim, dtype=bool)
+    kept[keep] = True
+    a = np.where(kept[:, None] & kept[None, :], sol.A, 0.0)
     if extra_diag is not None:
         a = a + np.diag(np.asarray(extra_diag, dtype=float)).astype(complex)
     c = commutator(a, sol.B)
     target = 1j * sol.hbar
-    domain = eigenspace(c, target, 100 * tol.spectral_tol, tol)
+    domain = eigenspace(c, target, tol.relation_window, tol)
     if domain.dim == 0:
         raise NoCanonicalEigenvalue("i*hbar is not an eigenvalue after projection")
     return CanonicalSolution(a, sol.B, target, domain, "projection", sol.hbar)
@@ -426,7 +400,7 @@ def catalog_3d(family: str, params: Optional[CatalogParams] = None,
     c_mat = commutator(a, b)
     entries = []
     for c in cs:
-        domain = eigenspace(c_mat, c, 100 * tol.spectral_tol, tol)
+        domain = eigenspace(c_mat, c, tol.relation_window, tol)
         if domain.dim == 0:
             raise FamilyConstraintViolated(
                 f"family {family}: expected commutator eigenvalue {c} is absent")

@@ -8,6 +8,7 @@ matrix bit-exactly.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Optional
 
 import numpy as np
@@ -85,7 +86,6 @@ def solution_from_obj(obj: dict) -> CanonicalSolution:
 def dump(obj, path) -> None:
     text = json.dumps(obj, indent=1)
     if path == "-":
-        import sys
         sys.stdout.write(text + "\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -94,7 +94,6 @@ def dump(obj, path) -> None:
 
 def load(path) -> dict:
     if path == "-":
-        import sys
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

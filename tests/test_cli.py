@@ -61,6 +61,14 @@ def test_build_purely_degenerate_exit_2(capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("argv", [("--levels", "1,0"), ("--levels", "0,1", "--mults", "1"),
+                                  ("--levels", "0,1", "--mults", "1,0")])
+def test_build_malformed_spectrum_exit_1(capsys, argv):
+    code, _, err = run(capsys, "build", *argv)
+    assert code == 1
+    assert "must" in err
+
+
 def test_build_bad_file_exit_1(capsys):
     code, _, _ = run(capsys, "classify", "--a", "/nonexistent.json", "--b", "/nonexistent.json")
     assert code == 1

@@ -64,6 +64,13 @@ def test_2d_closed_form_expectation():
     assert trace.t0 == pytest.approx((a1 + a2) / 2, abs=1e-12)
 
 
+def test_trace_h_norm_is_spectral_norm_of_generator():
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate((-3.0, -1.0, 0.5, 2.0)))
+    cfg = clock_from_solution(sol)
+    trace = clock_trace(cfg, cfg.domain.basis[:, 0], 0.0, np.linspace(-0.01, 0.01, 5))
+    assert trace.h_norm == pytest.approx(cfg.h_norm, rel=1e-12)
+
+
 def test_2d_uncertainty_product_at_lattice_points():
     a1, a2 = 0.3, 0.7
     sol, cfg = clock_2d(a1, a2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ccrlab.matrix_core import (
     hermiticity_defect,
     normal_eig,
     propagator,
+    relation_residual,
     require_hermitian,
     span,
 )
@@ -197,3 +200,19 @@ def test_propagator_phases_and_inverse():
 def test_propagator_requires_positive_hbar():
     with pytest.raises(ValueError):
         propagator(np.eye(2), hbar=-1.0)
+
+
+def test_relation_residual_empty_basis_is_zero():
+    c = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    assert relation_residual(c, 1j, np.zeros((2, 0), dtype=complex)) == 0.0
+    v = np.array([[1.0], [1j]]) / np.sqrt(2)  # eigenvector of c at i
+    assert relation_residual(c, 1j, v) <= 1e-15
+    assert relation_residual(c, -1j, v) == pytest.approx(2.0)
+
+
+def test_scaled_multiplies_every_tolerance_and_the_window():
+    loose = DEFAULT_TOL.scaled(10.0)
+    for f in dataclasses.fields(DEFAULT_TOL):
+        assert getattr(loose, f.name) == getattr(DEFAULT_TOL, f.name) * 10.0
+    assert DEFAULT_TOL.relation_window == pytest.approx(100 * DEFAULT_TOL.spectral_tol)
+    assert loose.relation_window == pytest.approx(10.0 * DEFAULT_TOL.relation_window)

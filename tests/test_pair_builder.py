@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ccrlab.pair_builder
 from ccrlab import errors
 from ccrlab.matrix_core import commutator, eigh, span
 from ccrlab.pair_builder import (
@@ -20,6 +21,64 @@ from ccrlab.pair_builder import (
 def nondeg(values, **kw):
     return build_nondegenerate(SpectrumSpec.nondegenerate(values),
                                PairParams(**kw) if kw else None)
+
+
+def _assemble_by_loop(spec, params):
+    """The entrywise definition of A, one (k, l) at a time."""
+    alpha, beta, diag_a, block_b, level = params.resolve(spec)
+    n = spec.dim
+    values = np.asarray(spec.values, dtype=float)
+    a = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            if k == l:
+                a[k, l] = diag_a[k]
+            elif level[k] == level[l]:
+                a[k, l] = block_b[k, l]
+            else:
+                gap = values[level[k]] - values[level[l]]
+                a[k, l] = beta[k, l] * 1j * params.hbar * np.exp(1j * alpha[k, l]) / gap
+    return a
+
+
+def _random_params(rng, n, hbar):
+    alpha = rng.uniform(-np.pi, np.pi, size=(n, n))
+    beta = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    block_b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    block_b = block_b + block_b.conj().T
+    np.fill_diagonal(block_b, 0.0)
+    return PairParams(alpha=alpha - alpha.T, beta=beta + beta.conj().T,
+                      diag_a=rng.normal(size=n), block_b=block_b, hbar=hbar)
+
+
+def test_assembly_matches_entrywise_loop():
+    rng = np.random.default_rng(20261018)
+    for trial in range(40):   # degenerate, hbar and custom parameters cycle independently
+        if trial % 2:
+            mults = tuple(int(m) for m in rng.integers(1, 5, size=int(rng.integers(2, 17))))
+        else:
+            mults = (1,) * int(rng.integers(2, 65))
+        values = rng.uniform(-8.0, 8.0) + np.cumsum(rng.uniform(0.1, 2.0, size=len(mults)))
+        spec = SpectrumSpec(tuple(values), mults)
+        hbar = 0.7 if trial % 4 >= 2 else 1.0
+        params = _random_params(rng, spec.dim, hbar) if trial % 3 else PairParams(hbar=hbar)
+        a, b = ccrlab.pair_builder._assemble_pair(spec, params)
+        ref = _assemble_by_loop(spec, params)
+        assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert (b == spec.b_matrix()).all()
+
+
+def test_one_commutator_per_build(monkeypatch):
+    calls = []
+    original = ccrlab.pair_builder.commutator
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(ccrlab.pair_builder, "commutator", counting)
+    build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 2.5, 4.0)))
+    assert len(calls) == 1
 
 
 def test_2d_default_matrices():
@@ -83,7 +142,7 @@ def test_rejects_dim_one():
 
 def test_bad_beta_raises_constraint_violated():
     beta = np.full((2, 2), 5.0, dtype=complex)
-    with pytest.raises(errors.ConstraintViolated):
+    with pytest.raises(errors.ConstraintViolated, match="no eigenvalue within .* of i[*]hbar"):
         nondeg((0.0, 1.0), beta=beta)
 
 
@@ -133,6 +192,19 @@ def test_projection_4d_spectrum():
     proj = project_pair(sol, [0, 1])
     vals = np.sort(np.linalg.eigvalsh(1j * proj.commutator()))
     assert np.allclose(vals, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_projection_matches_explicit_projector():
+    rng = np.random.default_rng(7)
+    n = 9
+    params = PairParams(diag_a=rng.normal(size=n))
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate(np.arange(n) ** 2 / 4.0), params)
+    keep = [1, 2, 5, 8]
+    extra = rng.normal(size=n)
+    p = np.diag(np.isin(np.arange(n), keep).astype(complex))
+    proj = project_pair(sol, keep, extra_diag=extra)
+    assert np.array_equal(proj.A, p @ sol.A @ p + np.diag(extra))
+    assert proj.residual() <= proj.ccr_tolerance()
 
 
 def test_projection_too_small():

@@ -93,7 +93,7 @@ def dft_zero_diagonal(c, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     c = as_matrix(c)
     scale = max(frobenius(c), 1.0)
-    if abs(np.trace(c)) > 1e-10 * scale:
+    if abs(np.trace(c)) > tol.spectral_tol * scale:
         raise NotTraceless(f"trace {np.trace(c)} is not zero within tolerance")
     _, q = normal_eig(c, tol)
     n = c.shape[0]

@@ -169,9 +169,27 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
 def normal_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
     """Eigenvalues and an orthonormal eigenbasis of a normal matrix.
 
-    Uses the complex Schur form; for a normal matrix the triangular factor
-    is diagonal and the Schur basis is an eigenbasis.
+    Anti-Hermitian M, which includes every commutator of a Hermitian pair,
+    takes the Hermitian path: when i*M passes the hermiticity check at
+    tol.hermiticity_tol, i*M = V diag(lam) V† comes from eigh and the
+    eigenvalues of M are -i*lam.  That certificate suffices on its own: an
+    anti-Hermitian matrix is normal, and eigh decomposes a Hermitian matrix
+    within the hermiticity defect of i*M, so the eigen residual
+    ||M V - V diag(-i*lam)|| and (by Weyl's inequality) the eigenvalue error
+    are of the order of the defect itself.  A normality defect bounds a Schur
+    residual only by about its square root (Henrici's departure from
+    normality), so no normality check is needed on this path.
+
+    Every other input has its normality certified at tol.spectral_tol
+    (NotNormal otherwise) and takes the complex Schur form, whose
+    triangular factor is diagonal for a normal matrix, so the Schur basis
+    is an eigenbasis.
     """
+    m = as_matrix(m)
+    h = 1j * m
+    if hermiticity_defect(h) <= tol.hermiticity_tol:
+        vals, vecs = np.linalg.eigh(h)
+        return -1j * vals, vecs
     m = require_normal(m, tol)
     t, q = scipy.linalg.schur(m, output="complex")
     return np.diag(t).copy(), q
@@ -181,7 +199,10 @@ def eigenspace(m, lam: complex, tol: float, config: ToleranceConfig = DEFAULT_TO
     """Orthonormal basis of the eigenspace of a normal matrix at lam.
 
     Eigenvalues within tol * ||M|| of lam are collected; the empty
-    subspace is a legal result.
+    subspace is a legal result.  The eigenbasis comes from normal_eig:
+    eigh of i*M for anti-Hermitian M (every relation domain, since
+    [A, B] of a Hermitian pair is anti-Hermitian), the certified complex
+    Schur form for any other normal M.
     """
     vals, vecs = normal_eig(m, config)
     scale = max(frobenius(np.asarray(m, dtype=complex)), 1.0)

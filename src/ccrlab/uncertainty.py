@@ -81,9 +81,8 @@ def _fit_gamma(a, b, phi):
         return 0.0, float(np.linalg.norm(ap))
     cross = complex(np.vdot(ap, bp))
     gamma = -cross.imag / var_b
-    residual_sq = float(np.real(np.vdot(ap, ap))) + gamma * gamma * var_b \
-        + 2.0 * gamma * cross.imag
-    return gamma, float(np.sqrt(max(residual_sq, 0.0)))
+    # a norm, not the expanded quadratic, which cancellation leaves at ~sqrt(eps)
+    return gamma, float(np.linalg.norm(ap - 1j * gamma * bp))
 
 
 def _require_in_domain(sol: CanonicalSolution, phi, tol: ToleranceConfig):

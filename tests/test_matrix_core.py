@@ -168,6 +168,9 @@ def test_normal_eig_diagonalizes():
     m = 1j * random_hermitian(4, 9)
     vals, vecs = normal_eig(m)
     assert np.linalg.norm(m @ vecs - vecs * vals, "fro") < 1e-12
+    # the eigh path returns exactly imaginary eigenvalues and a unitary basis
+    assert np.all(vals.real == 0.0)
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(4)) < 1e-12
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])

@@ -133,3 +133,17 @@ def test_unitary_invariance_of_product_and_gamma():
         assert report.product == pytest.approx(base.product, abs=1e-10)
         assert report.saturated == base.saturated
         assert report.gamma == pytest.approx(base.gamma, abs=1e-8)
+
+
+def test_saturation_detected_on_every_exactly_saturated_2d_state():
+    # every 2D domain state saturates; the detector's residual must stay at
+    # rounding level for any gap, hbar and global phase of the state
+    for gap in (0.1, 0.5, 1.0, 2.0, 3.7, 10.0):
+        for hbar in (0.5, 1.0, 2.0):
+            sol = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, gap)),
+                                      PairParams(hbar=hbar))
+            for k in range(13):
+                phi = sol.domain.basis[:, 0] * np.exp(2j * np.pi * k / 13)
+                report = audit_pair(sol, phi)
+                assert report.saturated, (gap, hbar, k, report.gamma_residual)
+                assert report.gamma_residual <= 1e-12 * max(hbar, 1.0)

@@ -70,10 +70,6 @@ def _vector_arg(text: str) -> np.ndarray:
     return arr.astype(complex).reshape(-1)
 
 
-def _emit(obj, path: str):
-    serialize.dump(obj, path)
-
-
 def cmd_build(args, tol) -> int:
     values = _floats(args.levels)
     mults = [int(m) for m in _floats(args.mults)] if args.mults else [1] * len(values)
@@ -87,7 +83,7 @@ def cmd_build(args, tol) -> int:
     )
     builder = build_nondegenerate if spec.is_nondegenerate else build_degenerate
     sol = builder(spec, params, tol)
-    _emit(serialize.solution_to_obj(sol), args.out)
+    serialize.dump(serialize.solution_to_obj(sol), args.out)
     summary = (f"c = {sol.c}, domain dim = {sol.domain.dim}, "
                f"residual = {sol.residual():.3e}")
     print(summary, file=sys.stderr if args.out == "-" else sys.stdout)
@@ -113,8 +109,7 @@ def cmd_classify(args, tol) -> int:
             for r in report.relations
         ],
     }
-    json.dump(out, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    serialize.dump(out, "-")
     return EXIT_OK
 
 
@@ -125,8 +120,8 @@ def cmd_factorize(args, tol) -> int:
         else np.arange(n, dtype=float)
     a_values = np.asarray(_floats(args.a_values)) if args.a_values else None
     a, b = factorize(c, b_values, a_values, tol)
-    _emit(serialize.matrix_to_obj(a), args.out_a)
-    _emit(serialize.matrix_to_obj(b), args.out_b)
+    serialize.dump(serialize.matrix_to_obj(a), args.out_a)
+    serialize.dump(serialize.matrix_to_obj(b), args.out_b)
     residual = float(np.linalg.norm(a @ b - b @ a - c, "fro"))
     print(f"residual = {residual:.3e}")
     return EXIT_OK
@@ -143,8 +138,7 @@ def cmd_invariant_set(args, tol) -> int:
         "generator_gcd": iset.generator_gcd,
         "excluded_levels": sorted(iset.excluded_levels),
     }
-    json.dump(out, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    serialize.dump(out, "-")
     return EXIT_OK
 
 
@@ -170,8 +164,7 @@ def cmd_audit(args, tol) -> int:
         "gamma": report.gamma,
         "gamma_residual": report.gamma_residual,
     }
-    json.dump(out, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    serialize.dump(out, "-")
     return EXIT_OK
 
 
@@ -225,7 +218,7 @@ def cmd_catalog_3d(args, tol) -> int:
         }
         for e in entries
     ]
-    _emit(out, args.out)
+    serialize.dump(out, args.out)
     return EXIT_OK
 
 

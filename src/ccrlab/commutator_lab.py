@@ -90,6 +90,8 @@ def dft_zero_diagonal(c, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     U is the discrete Fourier matrix expressed in C's eigenbasis; each
     diagonal entry of U† C U is the mean of C's eigenvalues, i.e. zero.
+    The eigenbasis is normal_eig's, certified at tol.spectral_tol, so a C
+    that is not normal raises NotNormal.
     """
     c = as_matrix(c)
     scale = max(frobenius(c), 1.0)

@@ -1,8 +1,9 @@
 """Dense complex linear algebra with certified structure.
 
-Everything here works on plain numpy arrays.  Hermiticity, normality and
-normalization are certified against an explicit ToleranceConfig rather
-than assumed; routines raise if certification fails.
+Everything here works on plain numpy arrays and needs nothing beyond
+numpy.  Hermiticity, normality and normalization are certified against an
+explicit ToleranceConfig rather than assumed; routines raise if
+certification fails.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DimensionMismatch, NotHermitian, NotNormal, NotNormalized
@@ -100,9 +100,23 @@ class Subspace:
         return self.distance(v) <= tol
 
     def principal_angles(self, other: "Subspace") -> np.ndarray:
+        """The min(dim, other.dim) principal angles to other, largest first.
+
+        Cosines are the singular values of Q1†Q2 for orthonormal bases Q1
+        (the larger subspace) and Q2; sines are those of Q2 - Q1 Q1†Q2.
+        Angles below pi/4 come from the sines, since arccos loses about
+        sqrt(eps) near 0, and the rest from the cosines.
+        """
         if self.dim == 0 or other.dim == 0:
             return np.zeros(0)
-        return scipy.linalg.subspace_angles(self.basis, other.basis)
+        q1, q2 = np.linalg.qr(self.basis)[0], np.linalg.qr(other.basis)[0]
+        if q1.shape[1] < q2.shape[1]:
+            q1, q2 = q2, q1
+        cross = q1.conj().T @ q2
+        cos = np.linalg.svd(cross, compute_uv=False)[::-1]
+        sin = np.linalg.svd(q2 - q1 @ cross, compute_uv=False)
+        return np.where(cos ** 2 < 0.5, np.arccos(np.clip(cos, -1.0, 1.0)),
+                        np.arcsin(np.clip(sin, -1.0, 1.0)))
 
 
 def fix_phase(basis: np.ndarray, threshold: float = 1e-12) -> np.ndarray:
@@ -166,43 +180,56 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
     return SpectralData(vals, vecs, cluster_indices(vals, ctol), ctol)
 
 
+# The weight mu in K = mu*H1 - H2.  Two eigenvalues of M share an eigenvalue
+# of K exactly when their difference is a real multiple of 1 + i*mu.  The
+# argument of 1 + i*sqrt(2) is not a rational multiple of pi (cos 2x = -1/3),
+# so no difference of roots of unity is such a multiple; sqrt(2) - 1 =
+# tan(pi/8) would merge eigenvalues of every 8th, 16th, 32nd ... root.
+_MIX = 2.0 ** 0.5
+
+
 def normal_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
     """Eigenvalues and an orthonormal eigenbasis of a normal matrix.
 
-    Anti-Hermitian M, which includes every commutator of a Hermitian pair,
-    takes the Hermitian path: when i*M passes the hermiticity check at
-    tol.hermiticity_tol, i*M = V diag(lam) V† comes from eigh and the
-    eigenvalues of M are -i*lam.  That certificate suffices on its own: an
-    anti-Hermitian matrix is normal, and eigh decomposes a Hermitian matrix
-    within the hermiticity defect of i*M, so the eigen residual
-    ||M V - V diag(-i*lam)|| and (by Weyl's inequality) the eigenvalue error
-    are of the order of the defect itself.  A normality defect bounds a Schur
-    residual only by about its square root (Henrici's departure from
-    normality), so no normality check is needed on this path.
+    With M = H1 + i*H2 (H1 = (M + M†)/2 and H2 = (M - M†)/2i Hermitian), M is
+    normal exactly when H1 and H2 commute, and then one eigenbasis V of the
+    Hermitian K = mu*H1 - H2 diagonalizes both; it comes from a single
+    np.linalg.eigh.  With r the Rayleigh quotients of H1 on V, the
+    eigenvalues of M are r - i*(w - mu*r) for the eigenvalues w of K.
 
-    Every other input has its normality certified at tol.spectral_tol
-    (NotNormal otherwise) and takes the complex Schur form, whose
-    triangular factor is diagonal for a normal matrix, so the Schur basis
-    is an eigenbasis.
+    The certificate is the residual ||H1 V - V diag(r)||_F, which must stay
+    within tol.spectral_tol * max(||M||_F, 1) (NotNormal otherwise): it
+    bounds ||M V - V diag(lam)|| by (1 + mu) times itself plus eigh's
+    backward error, and it is large when K merges distinct eigenvalues of a
+    normal M or when M is not normal.  When ||H1||_F is within that bound
+    the residual with r = 0 is too, so no product is formed.  An exactly
+    anti-Hermitian M (every commutator of a Hermitian pair with diagonal B)
+    has H1 = 0 and K = i*M, so its eigenvalues and eigenvectors are those of
+    eigh(i*M) bit for bit.
     """
     m = as_matrix(m)
-    h = 1j * m
-    if hermiticity_defect(h) <= tol.hermiticity_tol:
-        vals, vecs = np.linalg.eigh(h)
-        return -1j * vals, vecs
-    m = require_normal(m, tol)
-    t, q = scipy.linalg.schur(m, output="complex")
-    return np.diag(t).copy(), q
+    herm = 0.5 * (m + m.conj().T)
+    # K for H1 = 0 is i*M, formed as such: LAPACK reads the signs of zeros
+    k = _MIX * herm + 0.5j * (m - m.conj().T) if herm.any() else 1j * m
+    w, vecs = np.linalg.eigh(k)
+    allowed = tol.spectral_tol * max(frobenius(m), 1.0)
+    r = np.zeros(w.shape)
+    if frobenius(herm) > allowed:
+        hv = herm @ vecs
+        r = np.real(np.sum(vecs.conj() * hv, axis=0))
+        resid = frobenius(hv - vecs * r)
+        if resid > allowed:
+            raise NotNormal(f"eigen residual {resid:.3e} of the Hermitian part "
+                            f"exceeds {allowed:.3e}")
+    return r - 1j * (w - _MIX * r), vecs
 
 
 def eigenspace(m, lam: complex, tol: float, config: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the eigenspace of a normal matrix at lam.
 
     Eigenvalues within tol * ||M|| of lam are collected; the empty
-    subspace is a legal result.  The eigenbasis comes from normal_eig:
-    eigh of i*M for anti-Hermitian M (every relation domain, since
-    [A, B] of a Hermitian pair is anti-Hermitian), the certified complex
-    Schur form for any other normal M.
+    subspace is a legal result.  The eigenbasis comes from normal_eig, one
+    certified eigh for every normal M (NotNormal otherwise).
     """
     vals, vecs = normal_eig(m, config)
     scale = max(frobenius(np.asarray(m, dtype=complex)), 1.0)

@@ -85,6 +85,7 @@ def test_classify_pauli(tmp_path, capsys):
     report = json.loads(stdout)
     cs = [tuple(r["c"]) for r in report["relations"]]
     assert cs == [(0.0, 2.0), (0.0, -2.0)]
+    assert stdout == json.dumps(report, indent=1) + "\n"
 
 
 def test_classify_commuting_exit_3(tmp_path, capsys):
@@ -227,3 +228,20 @@ def test_clock_honors_env_tolerance(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "clock", "--solution", str(path), "--csv", "-")
     assert code == 0
     assert stdout.startswith("tau,expectation")
+
+
+def test_factorize_honors_env_tolerance(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    c = 0.5j * (h + h.conj().T)
+    c -= np.trace(c) / 6 * np.eye(6)
+    c[0, 5] += 1e-9 * np.linalg.norm(c)  # non-normal beyond the default spectral_tol
+    write_matrix(tmp_path / "c.json", c)
+    argv = ("factorize", "--c", str(tmp_path / "c.json"),
+            "--out-a", str(tmp_path / "A.json"), "--out-b", str(tmp_path / "B.json"))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "residual" in err
+    monkeypatch.setenv("CCRLAB_TOL", "1e-8")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0

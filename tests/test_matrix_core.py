@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ccrlab import errors
 from ccrlab.config import DEFAULT_TOL
@@ -154,6 +155,58 @@ def test_principal_angles_same_subspace():
     phases = np.exp(1j * np.array([0.3, -1.2]))
     s2 = Subspace(basis * phases)
     assert np.max(s1.principal_angles(s2)) < 1e-12
+
+
+def subspaces_at_angles(angles, extra, rng):
+    """A (k + extra)-dimensional and a k-dimensional subspace whose principal
+    angles are `angles` (k of them), each in a randomly rotated basis."""
+    k = len(angles)
+    n = 2 * k + extra + 1
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    big = q[:, :k + extra]
+    small = q[:, :k] * np.cos(angles) + q[:, k + extra:2 * k + extra] * np.sin(angles)
+
+    def rotate(b):
+        m = b.shape[1]
+        return b @ np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+
+    return Subspace(rotate(big)), Subspace(rotate(small))
+
+
+def test_principal_angles_match_scipy():
+    """200 pairs of unequal dimension, angles from 1e-12 to pi/2.  All angles
+    of one pair lie on one side of pi/4: scipy picks arcsin or arccos by the
+    index of the cosine, not of the angle, and so loses up to ~1e-8 on a set
+    mixing an angle near 0 with one near pi/2 (checked against the
+    constructed angles below instead)."""
+    rng = np.random.default_rng(42)
+    worst = 0.0
+    for trial in range(200):
+        k = int(rng.integers(1, 5))
+        if trial % 2:
+            angles = 10.0 ** rng.uniform(-12, np.log10(np.pi / 4), size=k)
+        else:
+            angles = rng.uniform(np.pi / 4, np.pi / 2, size=k)
+        big, small = subspaces_at_angles(angles, int(rng.integers(1, 4)), rng)
+        for a, b in ((big, small), (small, big)):
+            ref = scipy.linalg.subspace_angles(a.basis, b.basis)
+            worst = max(worst, float(np.max(np.abs(a.principal_angles(b) - ref))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("angles", [(np.pi / 2, 1e-12), (np.pi / 2 - 1e-9, 0.3, 1e-10),
+                                    (1.4, 0.8, 0.7, 1e-6), (0.0, np.pi / 2)])
+def test_principal_angles_are_the_constructed_angles(angles):
+    big, small = subspaces_at_angles(np.array(angles), 2, np.random.default_rng(7))
+    assert np.max(np.abs(big.principal_angles(small) - np.sort(angles)[::-1])) <= 1e-12
+    assert np.max(np.abs(small.principal_angles(big) - np.sort(angles)[::-1])) <= 1e-12
+
+
+def test_principal_angles_of_the_empty_subspace_are_empty():
+    empty = Subspace(np.zeros((4, 0), dtype=complex))
+    full = Subspace(np.eye(4)[:, :2])
+    assert empty.principal_angles(full).shape == (0,)
+    assert full.principal_angles(empty).shape == (0,)
 
 
 def test_fix_phase_makes_pivot_real_positive():

@@ -1,15 +1,22 @@
-"""normal_eig's two paths: eigh of i*M for anti-Hermitian M, the certified
-complex Schur form for every other normal M.
+"""normal_eig's one path: a single eigh of mu*H1 - H2 for M = H1 + i*H2,
+certified by the residual of H1 on the eigenbasis.
 
-The differential tests keep the Schur path as a test-local reference
-(normality check, complex Schur form, eigenvalue window) and require the
-eigh path to return the same relation domains.
+The differential tests keep the complex Schur form as a test-local
+reference (normality check, Schur form, eigenvalue window) and require
+normal_eig to return the same eigenspaces, for commutators of Hermitian
+pairs and for generic normal matrices alike.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import ccrlab
 from ccrlab import errors
 from ccrlab.commutator_lab import dft_zero_diagonal, factorize
 from ccrlab.config import DEFAULT_TOL
@@ -20,6 +27,7 @@ from ccrlab.matrix_core import (
     fix_phase,
     frobenius,
     hermiticity_defect,
+    normal_eig,
     require_normal,
 )
 from ccrlab.pair_builder import (
@@ -47,6 +55,7 @@ def assert_same_domain(c_mat, c):
     assert new.dim == ref.dim
     if new.dim:
         assert np.max(new.principal_angles(ref)) <= 1e-10
+    return new.dim
 
 
 def nondegenerate_spectrum(n, seed):
@@ -61,15 +70,23 @@ def random_traceless_hermitian(n, seed):
     return h - np.trace(h).real / n * np.eye(n)
 
 
-def counting_schur(monkeypatch):
-    calls = []
-    original = scipy.linalg.schur
+def rotated(values, seed):
+    """Q diag(values) Q† for a random unitary Q."""
+    n = len(values)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return (q * np.asarray(values)) @ q.conj().T
 
-    def schur(*args, **kwargs):
+
+def counting_eigh(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def eigh(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", schur)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     return calls
 
 
@@ -107,19 +124,64 @@ def test_factorize_round_trip_at_256():
     assert hermiticity_defect(b) <= DEFAULT_TOL.hermiticity_tol
 
 
-def test_build_and_factorize_make_no_schur_call(monkeypatch):
-    calls = counting_schur(monkeypatch)
+@pytest.mark.parametrize("seed", range(8))
+def test_generic_normal_domains_match_schur_path(seed):
+    """Rotated complex spectra with degenerate clusters: every eigenspace."""
+    rng = np.random.default_rng(1000 + seed)
+    distinct = rng.normal(size=3 + 5 * seed) + 1j * rng.normal(size=3 + 5 * seed)
+    values = np.repeat(distinct, rng.integers(1, 5, size=distinct.size))[:128]
+    c_mat = rotated(values, seed)
+    assert sum(assert_same_domain(c_mat, lam) for lam in np.unique(values)) == values.size
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_rotated_roots_of_unity_match_schur_path(n):
+    """Differences of roots of unity are never real multiples of 1 + i*sqrt(2)."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    c_mat = rotated(roots, n)
+    assert sum(assert_same_domain(c_mat, lam) for lam in roots) == n
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_nondegenerate(SpectrumSpec.nondegenerate(nondegenerate_spectrum(256, 256))),
+    lambda: build_degenerate(SpectrumSpec(nondegenerate_spectrum(64, 164), (4,) * 64)),
+    lambda: catalog_3d("nondeg-2c")[0].solution,
+], ids=["nondegenerate-256", "degenerate-64x4", "catalog-nondeg-2c"])
+def test_commutator_eigenbasis_is_bit_identical_to_eigh(build):
+    """An exactly anti-Hermitian C gets -i*eigh(i*C) bit for bit, so relation
+    domains and factorize outputs equal those of a plain eigh(i*C).  The
+    nondeg-2c commutator has signed zeros that a K formed as
+    sqrt(2)*H1 + (i/2)(C - C†) would flip, changing eigh's basis."""
+    c_mat = build().commutator()
+    w, v = np.linalg.eigh(1j * c_mat)
+    vals, vecs = normal_eig(c_mat)
+    assert np.array_equal(vals, -1j * w)
+    assert np.array_equal(vecs, v)
+
+
+def test_build_and_factorize_make_one_eigh_per_normal_eig(monkeypatch):
+    calls = counting_eigh(monkeypatch)
     sol = build_nondegenerate(SpectrumSpec.nondegenerate(nondegenerate_spectrum(64, 1)))
     factorize(sol.commutator(), np.arange(64, dtype=float))
-    assert calls == []
+    assert calls == [(64, 64), (64, 64)]
 
 
-def test_generic_normal_input_takes_the_schur_path(monkeypatch):
-    calls = counting_schur(monkeypatch)
+def test_generic_normal_input_takes_one_eigh(monkeypatch):
+    calls = counting_eigh(monkeypatch)
     c = np.diag([1.0, np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3)])
     c = c - np.trace(c) / 3 * np.eye(3)
     dft_zero_diagonal(c)
     assert calls == [(3, 3)]
+
+
+def test_import_leaves_scipy_unloaded():
+    path = [str(Path(ccrlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = ("import sys, ccrlab; assert 'scipy' not in sys.modules, 'ccrlab'; "
+            "import ccrlab.cli; assert 'scipy' not in sys.modules, 'ccrlab.cli'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def perturbed_antihermitian(n=6, eps=1e-6):
@@ -128,14 +190,27 @@ def perturbed_antihermitian(n=6, eps=1e-6):
     return 1j * random_traceless_hermitian(n, 11) + nilpotent
 
 
+def slightly_perturbed_antihermitian():
+    """A nilpotent bump of 1e-9 * ||C||_F: outside DEFAULT_TOL's certificate,
+    inside DEFAULT_TOL.scaled(100)'s."""
+    return perturbed_antihermitian(eps=1e-9 * frobenius(random_traceless_hermitian(6, 11)))
+
+
 def test_perturbed_antihermitian_is_rejected_by_eigenspace():
-    with pytest.raises(errors.NotNormal):
-        eigenspace(perturbed_antihermitian(), 1j, DEFAULT_TOL.relation_window)
+    window = DEFAULT_TOL.relation_window
+    for c_mat in (perturbed_antihermitian(), slightly_perturbed_antihermitian()):
+        with pytest.raises(errors.NotNormal):
+            eigenspace(c_mat, 1j, window)
+    eigenspace(slightly_perturbed_antihermitian(), 1j, window, DEFAULT_TOL.scaled(100))
 
 
 def test_perturbed_antihermitian_is_rejected_by_factorize():
-    with pytest.raises(errors.NotNormal):
-        factorize(perturbed_antihermitian(), np.arange(6, dtype=float))
+    for c_mat in (perturbed_antihermitian(), slightly_perturbed_antihermitian()):
+        with pytest.raises(errors.NotNormal):
+            factorize(c_mat, np.arange(6, dtype=float))
+    c_mat = slightly_perturbed_antihermitian()
+    a, b = factorize(c_mat, np.arange(6, dtype=float), tol=DEFAULT_TOL.scaled(100))
+    assert frobenius(commutator(a, b) - c_mat) <= 1e-8 * frobenius(c_mat)
 
 
 def test_trace_check_uses_spectral_tol():

@@ -74,7 +74,8 @@ class ClockConfig:
 
     @property
     def h_norm(self) -> float:
-        return float(np.linalg.norm(self.H, 2))
+        """||H||_2 = max |E| over H's spectrum, as clock_trace reports it."""
+        return float(np.max(np.abs(eigh(self.H, self.tol).eigenvalues)))
 
 
 def clock_from_solution(sol: CanonicalSolution, h=None, sign: int = PASSAGE_TIME,

@@ -90,18 +90,16 @@ def dft_zero_diagonal(c, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     U is the discrete Fourier matrix expressed in C's eigenbasis; each
     diagonal entry of U† C U is the mean of C's eigenvalues, i.e. zero.
-    The eigenbasis is normal_eig's, certified at tol.spectral_tol, so a C
-    that is not normal raises NotNormal.
+    The eigenbasis Q is normal_eig's, certified at tol.spectral_tol, so a C
+    that is not normal raises NotNormal.  U = Q F, with F_kl =
+    exp(2 pi i kl/N)/sqrt(N), is an inverse FFT along Q's rows.
     """
     c = as_matrix(c)
     scale = max(frobenius(c), 1.0)
     if abs(np.trace(c)) > tol.spectral_tol * scale:
         raise NotTraceless(f"trace {np.trace(c)} is not zero within tolerance")
     _, q = normal_eig(c, tol)
-    n = c.shape[0]
-    k = np.arange(n)
-    f = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    return q @ f
+    return np.fft.ifft(q, axis=1, norm="ortho")
 
 
 def factorize(c, b_values, a_values=None,
@@ -135,8 +133,7 @@ def factorize(c, b_values, a_values=None,
     np.fill_diagonal(denom, 1.0)
     a_rot = c_rot / denom
     np.fill_diagonal(a_rot, a_values)
-    b_rot = np.diag(b_values).astype(complex)
-    return u @ a_rot @ u.conj().T, u @ b_rot @ u.conj().T
+    return u @ a_rot @ u.conj().T, (u * b_values) @ u.conj().T
 
 
 def commutator_fixing_state(phi, c: complex, b_values=None,

@@ -70,50 +70,72 @@ def real_gcd(values, cfg: GcdConfig = GcdConfig()) -> Optional[float]:
     """Largest g with every value an integer multiple of g, or None.
 
     Incommensurate inputs drive the Euclidean remainders toward zero
-    without terminating cleanly; they are detected by the resulting
+    without terminating cleanly; they are detected by g falling to the
+    noise floor eps = rel_tol * max(values), or by the resulting
     multipliers exceeding max_denominator or failing the relative
     accuracy check.
+
+    The values are taken in order, and one that is within eps of a
+    multiple of the running g leaves it as it is (Euclid would move g by
+    at most eps); only the first value that is not starts the next
+    Euclidean step.  After each step g is refitted to every value taken
+    so far (sum of values over sum of multipliers), so rounding error does
+    not grow from one step to the next.  Each step about halves g or
+    more, so there are at most about log2(max / eps) of them whatever the
+    number of values.
     """
-    vals = [float(v) for v in values]
-    if not vals:
+    vals = np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                      dtype=float).reshape(-1)
+    if not vals.size:
         raise EmptyInput("need at least one value")
-    if any(v <= 0 for v in vals):
+    if np.any(vals <= 0):
         raise NonPositiveValue("all values must be positive")
-    eps = cfg.rel_tol * max(vals)
-    g = vals[0]
-    for v in vals[1:]:
-        g = _pair_gcd(g, v, eps)
-    if g <= eps:
-        return None
-    multipliers = [round(v / g) for v in vals]
-    common = math.gcd(*multipliers) if len(multipliers) > 1 else multipliers[0]
+    eps = cfg.rel_tol * float(np.max(vals))
+    g, start = float(vals[0]), 1
+    while True:
+        rest = vals[start:]
+        off = np.flatnonzero(np.abs(rest - np.rint(rest / g) * g) > eps)
+        if not off.size:
+            break
+        start += int(off[0]) + 1
+        g = _pair_gcd(g, float(vals[start - 1]), eps)
+        if g <= eps:
+            return None
+        # refit g to every value taken so far, so that the rounding error of
+        # one Euclidean step is not multiplied by the next
+        seen = vals[:start]
+        g = float(np.sum(seen) / np.sum(np.rint(seen / g)))
+    multipliers = np.rint(vals / g)
+    # exact integers, as round() gives them; Python ints where int64 overflows
+    multipliers = multipliers.astype(np.int64 if multipliers.max() < 2.0 ** 63 else object)
+    common = np.gcd.reduce(multipliers)
     if common > 1:
         g *= common
-        multipliers = [m // common for m in multipliers]
-    if any(m < 1 or m > cfg.max_denominator for m in multipliers):
+        multipliers = multipliers // common
+    if np.any(multipliers < 1) or np.any(multipliers > cfg.max_denominator):
         return None
     # refine against float noise, then certify
-    g = sum(vals) / sum(multipliers)
-    if any(abs(v - m * g) > cfg.rel_tol * v for v, m in zip(vals, multipliers)):
+    g = float(np.sum(vals) / np.sum(multipliers))
+    if np.any(np.abs(vals - multipliers * g) > cfg.rel_tol * vals):
         return None
     return g
 
 
 def _retained_differences(sol: CanonicalSolution, h, tol: ToleranceConfig):
+    """H's spectrum, the pairwise gaps of the levels the domain sees, and
+    the indices of the clusters (levels) it does not see."""
     sd = eigh(h, tol)
-    coeffs = sd.eigenvectors.conj().T @ sol.domain.basis  # (N, dim)
-    excluded = set()
-    retained_levels = []
-    for idx, cluster in enumerate(sd.clusters):
-        weight = float(np.max(np.abs(coeffs[cluster, :]))) if sol.domain.dim else 0.0
-        if weight <= SPECTATOR_TOL:
-            excluded.add(idx)
-        else:
-            retained_levels.append(float(np.mean(sd.eigenvalues[cluster])))
-    diffs = [abs(e2 - e1)
-             for i, e1 in enumerate(retained_levels)
-             for e2 in retained_levels[i + 1:]]
-    return sd, diffs, excluded
+    starts = np.array([cluster[0] for cluster in sd.clusters])
+    if sol.domain.dim:
+        coeffs = sd.eigenvectors.conj().T @ sol.domain.basis  # (N, dim)
+        weights = np.maximum.reduceat(np.max(np.abs(coeffs), axis=1), starts)
+    else:
+        weights = np.zeros(starts.size)
+    sizes = np.diff(np.append(starts, sd.eigenvalues.size))
+    levels = (np.add.reduceat(sd.eigenvalues, starts) / sizes)[weights > SPECTATOR_TOL]
+    i, j = np.triu_indices(levels.size, 1)
+    excluded = set(np.flatnonzero(weights <= SPECTATOR_TOL).tolist())
+    return sd, np.abs(levels[j] - levels[i]), excluded
 
 
 def invariant_set(sol: CanonicalSolution, h, cfg: GcdConfig = GcdConfig(),
@@ -128,7 +150,7 @@ def invariant_set(sol: CanonicalSolution, h, cfg: GcdConfig = GcdConfig(),
         h_norm = float(np.max(np.abs(sd.eigenvalues)))
         if resid <= tol.relation_window * max(h_norm, 1.0):
             return InvariantSet(InvariantKind.FULL_LINE, excluded_levels=frozenset(excluded))
-    if not diffs:
+    if not diffs.size:
         # domain confined to a single eigenspace of H: every domain state
         # only picks up a global phase
         return InvariantSet(InvariantKind.FULL_LINE, excluded_levels=frozenset(excluded))

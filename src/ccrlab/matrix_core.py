@@ -167,14 +167,35 @@ class SpectralData:
         return Subspace(fix_phase(self.eigenvectors[:, cluster]))
 
 
+def _diagonal(m: np.ndarray):
+    """The diagonal of m when every off-diagonal entry is exactly zero, else None.
+
+    The off-diagonal entries of a square array are the first n columns of
+    its flattened tail read as an (n-1) x (n+1) array, so the test is one
+    pass over the entries and copies nothing when m is contiguous.
+    """
+    n = m.shape[0]
+    if n > 1 and m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return None
+    return np.diagonal(m)
+
+
 def eigh(h, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
     """Spectral decomposition of a certified Hermitian matrix.
 
     Eigenvalues come back ascending with degeneracy clusters detected at
-    cluster_tol relative to the spectral range.
+    cluster_tol relative to the spectral range.  An exactly diagonal h is
+    read off without LAPACK: its sorted diagonal and the matching unit
+    vectors, which for an ascending diagonal (every B of SpectrumSpec) are
+    np.linalg.eigh's output bit for bit.
     """
     h = require_hermitian(h, tol)
-    vals, vecs = np.linalg.eigh(h)
+    d = _diagonal(h)
+    if d is None:
+        vals, vecs = np.linalg.eigh(h)
+    else:
+        order = np.argsort(d.real, kind="stable")
+        vals, vecs = d.real[order], np.eye(h.shape[0], dtype=complex)[:, order]
     scale = max(float(np.max(np.abs(vals))), 1.0) if vals.size else 1.0
     ctol = tol.cluster_tol * scale
     return SpectralData(vals, vecs, cluster_indices(vals, ctol), ctol)
@@ -186,6 +207,26 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
 # so no difference of roots of unity is such a multiple; sqrt(2) - 1 =
 # tan(pi/8) would merge eigenvalues of every 8th, 16th, 32nd ... root.
 _MIX = 2.0 ** 0.5
+# Chains of K's eigenvalues closer than this (relative to ||K||_F) are split
+# by H1 when the certificate fails.  eigh mixes the vectors of two eigenvalues
+# a gap delta apart by about eps*||K||/delta, which breaks the certificate
+# only when delta is below about 1e-6*||K||.
+_CHAIN_TOL = 1e-5
+
+
+def _split_chains(vecs: np.ndarray, values: np.ndarray, scale: float, ops) -> None:
+    """Rotate, in place, the columns of vecs in each chain of values within
+    _CHAIN_TOL * max(scale, 1) of one another to the eigenbasis of ops[0]
+    restricted to them, and split the chains of that eigenbasis by ops[1:]."""
+    if not ops:
+        return
+    for chain in cluster_indices(values, _CHAIN_TOL * max(scale, 1.0)):
+        if len(chain) > 1:
+            sub = vecs[:, chain]
+            sub_values, rot = np.linalg.eigh(sub.conj().T @ ops[0] @ sub)
+            sub = sub @ rot
+            _split_chains(sub, sub_values, frobenius(ops[0]), ops[1:])
+            vecs[:, chain] = sub
 
 
 def normal_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
@@ -201,8 +242,14 @@ def normal_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
     within tol.spectral_tol * max(||M||_F, 1) (NotNormal otherwise): it
     bounds ||M V - V diag(lam)|| by (1 + mu) times itself plus eigh's
     backward error, and it is large when K merges distinct eigenvalues of a
-    normal M or when M is not normal.  When ||H1||_F is within that bound
-    the residual with r = 0 is too, so no product is formed.  An exactly
+    normal M or when M is not normal.  When it fails, each chain of K's
+    eigenvalues within _CHAIN_TOL * max(||K||_F, 1) of one another is
+    rotated to the eigenbasis of H1 restricted to it (and each chain of
+    that, on which H1 is nearly constant, to K's), r and w become the
+    Rayleigh quotients of H1 and K, and M is accepted only if the residuals
+    of both H1 and K on the rotated basis are within the bound.  When
+    ||H1||_F is within the bound the residual with r = 0 is too, so no
+    product is formed.  An exactly
     anti-Hermitian M (every commutator of a Hermitian pair with diagonal B)
     has H1 = 0 and K = i*M, so its eigenvalues and eigenvectors are those of
     eigh(i*M) bit for bit.
@@ -219,7 +266,15 @@ def normal_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
         r = np.real(np.sum(vecs.conj() * hv, axis=0))
         resid = frobenius(hv - vecs * r)
         if resid > allowed:
-            raise NotNormal(f"eigen residual {resid:.3e} of the Hermitian part "
+            # K may have merged eigenvalues of M whose difference is nearly a
+            # real multiple of 1 + i*mu: split its chains by H1, then by K
+            _split_chains(vecs, w, frobenius(k), (herm, k))
+            hv, kv = herm @ vecs, k @ vecs
+            r = np.real(np.sum(vecs.conj() * hv, axis=0))
+            w = np.real(np.sum(vecs.conj() * kv, axis=0))
+            resid = max(frobenius(hv - vecs * r), frobenius(kv - vecs * w))
+        if resid > allowed:
+            raise NotNormal(f"eigen residual {resid:.3e} of the Hermitian parts "
                             f"exceeds {allowed:.3e}")
     return r - 1j * (w - _MIX * r), vecs
 
@@ -278,10 +333,24 @@ def evolve(h, t: float, hbar: float = 1.0, tol: ToleranceConfig = DEFAULT_TOL) -
 
 
 def commutator(a, b) -> np.ndarray:
+    """[A, B] = AB - BA, in O(N^2) when either factor is exactly diagonal.
+
+    With B = diag(d), AB scales A's columns and BA its rows; adding 0.0
+    turns the -0.0 entries of those products into the +0.0 that a matrix
+    product's sum yields, so the result equals a @ b - b @ a bit for bit,
+    signs of zeros included (LAPACK reads them).  The one exception is an
+    entry of AB or BA that is exactly zero, which BLAS may sum to -0.0.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} are not conformable")
+    d = _diagonal(b)
+    if d is not None:
+        return (a * d + 0.0) - (d[:, None] * a + 0.0)
+    d = _diagonal(a)
+    if d is not None:
+        return (d[:, None] * b + 0.0) - (b * d + 0.0)
     return a @ b - b @ a
 
 

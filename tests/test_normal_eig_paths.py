@@ -221,3 +221,49 @@ def test_trace_check_uses_spectral_tol():
         dft_zero_diagonal(c, DEFAULT_TOL)
     u = dft_zero_diagonal(c, DEFAULT_TOL.scaled(10))
     assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-12
+
+
+def merged_normal(delta, third=None, n=16, seed=7):
+    """Q diag(lam) Q† with lam_1 = lam_0 + 0.8*(1 + i*sqrt(2)) + i*delta.
+
+    The difference of lam_0 and lam_1 is then within delta of a real
+    multiple of 1 + i*sqrt(2), so the two nearly share an eigenvalue of
+    K = sqrt(2)*H1 - H2 and eigh mixes their vectors.  With third set,
+    lam_2 = lam_0 + i*third has lam_0's real part as well."""
+    rng = np.random.default_rng(seed)
+    lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+    lam[1] = lam[0] + 0.8 * (1 + 1j * np.sqrt(2)) + 1j * delta
+    if third is not None:
+        lam[2] = lam[0] + 1j * third
+    lam -= lam.mean()
+    return rotated(lam, seed), lam
+
+
+def assert_diagonalizes(m, lam):
+    vals, vecs = normal_eig(m)
+    assert frobenius(m @ vecs - vecs * vals) <= 1e-12 * frobenius(m)
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(len(lam))) <= 1e-12
+    assert all(np.min(np.abs(vals - x)) <= 1e-12 * frobenius(m) for x in lam)
+
+
+@pytest.mark.parametrize("delta", [1e-7, 1e-9, 1e-12, 0.0])
+def test_eigenvalues_merged_in_k_are_split_by_h1(delta):
+    m, lam = merged_normal(delta)
+    assert_diagonalizes(m, lam)
+    window = DEFAULT_TOL.relation_window
+    assert eigenspace(m, lam[0], window).dim == eigenspace(m, lam[1], window).dim == 1
+
+
+@pytest.mark.parametrize("third", [1e-5, 1e-7, 1e-9])
+def test_merged_chain_with_equal_real_parts_is_split_by_k(third):
+    """lam_0 and lam_2 share an eigenvalue of H1 inside the merged chain;
+    splitting by H1 alone would mix them and leave K's residual large."""
+    m, lam = merged_normal(1e-9, third)
+    assert_diagonalizes(m, lam)
+
+
+def test_merged_chain_with_a_nilpotent_bump_is_rejected():
+    m, _ = merged_normal(0.0)
+    m[0, -1] += 1e-6 * frobenius(m)
+    with pytest.raises(errors.NotNormal):
+        normal_eig(m)

@@ -107,7 +107,10 @@ def real_gcd(values, cfg: GcdConfig = GcdConfig()) -> Optional[float]:
         g = float(np.sum(seen) / np.sum(np.rint(seen / g)))
     multipliers = np.rint(vals / g)
     # exact integers, as round() gives them; Python ints where int64 overflows
-    multipliers = multipliers.astype(np.int64 if multipliers.max() < 2.0 ** 63 else object)
+    if multipliers.max() < 2.0 ** 63:
+        multipliers = multipliers.astype(np.int64)
+    else:
+        multipliers = np.array([int(m) for m in multipliers], dtype=object)
     common = np.gcd.reduce(multipliers)
     if common > 1:
         g *= common

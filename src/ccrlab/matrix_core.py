@@ -333,7 +333,7 @@ def evolve(h, t: float, hbar: float = 1.0, tol: ToleranceConfig = DEFAULT_TOL) -
 
 
 def commutator(a, b) -> np.ndarray:
-    """[A, B] = AB - BA, in O(N^2) when either factor is exactly diagonal.
+    """[A, B] = AB - BA, in O(N^2) when B is exactly diagonal.
 
     With B = diag(d), AB scales A's columns and BA its rows; adding 0.0
     turns the -0.0 entries of those products into the +0.0 that a matrix
@@ -348,9 +348,6 @@ def commutator(a, b) -> np.ndarray:
     d = _diagonal(b)
     if d is not None:
         return (a * d + 0.0) - (d[:, None] * a + 0.0)
-    d = _diagonal(a)
-    if d is not None:
-        return (d[:, None] * b + 0.0) - (b * d + 0.0)
     return a @ b - b @ a
 
 

@@ -142,18 +142,18 @@ def cmd_invariant_set(args, tol) -> int:
     return EXIT_OK
 
 
-def _domain_state(sol, args) -> np.ndarray:
+def _domain_state(domain, args) -> np.ndarray:
     if getattr(args, "state", None):
         return _vector_arg(args.state)
     rng = np.random.default_rng(args.seed)
-    coeff = rng.normal(size=sol.domain.dim) + 1j * rng.normal(size=sol.domain.dim)
-    v = sol.domain.basis @ coeff
+    coeff = rng.normal(size=domain.dim) + 1j * rng.normal(size=domain.dim)
+    v = domain.basis @ coeff
     return v / np.linalg.norm(v)
 
 
 def cmd_audit(args, tol) -> int:
     sol = serialize.solution_from_obj(serialize.load(args.solution))
-    phi = _domain_state(sol, args)
+    phi = _domain_state(sol.domain, args)
     report = audit_pair(sol, phi, tol)
     out = {
         "delta_A": report.delta_A,
@@ -182,7 +182,7 @@ def cmd_clock(args, tol) -> int:
         base = n * iset.period
     else:
         base = float(n)
-    phi = _domain_state(sol, args)
+    phi = _domain_state(cfg.domain, args)
     tau = np.linspace(-args.window, args.window, args.samples)
     trace = clock_trace(cfg, phi, base, tau, tol)
     lines = ["tau,expectation,delta_T,delta_H,product"]

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import BasePointNotInvariant, ConstraintViolated, DegenerateHamiltonian
+from .errors import (
+    BasePointNotInvariant,
+    ConstraintViolated,
+    DegenerateHamiltonian,
+    StateOutsideDomain,
+)
 from .invariant_sets import _membership_residual
 from .matrix_core import (
     Subspace,
@@ -119,21 +124,32 @@ def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
     """Expectation and uncertainty product of T(base_point + tau) on phi.
 
     The base point must belong to the invariant set of exp(-iHt/hbar)
-    (checked by evolving the domain), and phi must be a unit domain state.
+    (checked by evolving the domain), and phi must be a unit domain state:
+    NotNormalized or StateOutsideDomain otherwise, the latter when phi
+    lies more than tol.membership_tol from the domain.
 
     H is decomposed once, H = V diag(E) V†, and every sample is read in
     its eigenbasis: with T_e = V†TV and psi(t) = exp(-iEt/hbar) * V†phi,
-    <T(t)> = <psi(t), T_e psi(t)> and <T(t)^2> = ||T_e psi(t)||^2.
+    <T(t)> = <psi(t), T_e psi(t)> and <T(t)^2> = ||T_e psi(t)||^2.  When
+    V is a permutation (a diagonal H), T_e and V†phi are gathers.
     """
     prop = propagator(cfg.H, cfg.hbar, tol)
-    resid = _membership_residual(prop, cfg.domain.basis, base_point)
+    resid = _membership_residual(prop, cfg.domain, base_point, tol)
     if resid > tol.membership_tol:
         raise BasePointNotInvariant(
             f"t = {base_point} leaves the domain (residual {resid:.3e})")
+    phi = require_normalized(phi, tol)
+    dist = float(cfg.domain.distances(phi, tol))
+    if dist > tol.membership_tol:
+        raise StateOutsideDomain(f"phi lies {dist:.3e} from the clock's domain")
     tau_grid = np.asarray(tau_grid, dtype=float).reshape(-1)
-    v = prop.spectral.eigenvectors
-    phi_e = v.conj().T @ require_normalized(phi, tol)
-    t_e = require_hermitian(v.conj().T @ cfg.T @ v, tol)
+    sd = prop.spectral
+    phi_e = sd.to_eigenbasis(phi)
+    if sd.permutation is not None:
+        t_e = cfg.T[np.ix_(sd.permutation, sd.permutation)]
+    else:
+        t_e = sd.eigenvectors.conj().T @ cfg.T @ sd.eigenvectors
+    t_e = require_hermitian(t_e, tol)
     # one column per sample, and base_point itself last for t0
     psi = prop.phases(np.append(base_point + tau_grid, base_point)) * phi_e[:, None]
     t_psi = t_e @ psi
@@ -141,7 +157,7 @@ def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
     second_moments = np.real(np.sum(t_psi.conj() * t_psi, axis=0))
     dts = std_from_moments(means[:-1], second_moments[:-1])
     weights = np.abs(phi_e) ** 2
-    e = prop.spectral.eigenvalues
+    e = sd.eigenvalues
     dh = float(std_from_moments(weights @ e, weights @ e ** 2))
     return ClockTrace(tau_grid, means[:-1], dts, np.full_like(tau_grid, dh), dts * dh,
                       float(means[-1]), base_point, float(np.max(np.abs(e))), cfg.hbar)
@@ -170,9 +186,8 @@ def linearity_fit(trace: ClockTrace) -> LinearityFit:
     return LinearityFit(float(slope), float(intercept), float(np.max(np.abs(resid))), qb)
 
 
-def commuting_factor_matrix(cfg: ClockConfig, t: float,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """K(t) of the generalized weak Weyl relation T U(t) = U(t)(T + K(t)).
+def _commuting_factor_eigenbasis(cfg: ClockConfig, t: float, tol: ToleranceConfig):
+    """H's spectral data and K(t) in H's eigenbasis.
 
     Requires a nondegenerate generator; in its eigenbasis
     K_ss' = i*hbar/(E_s - E_s') (exp(i(E_s - E_s')t/hbar) - 1) off the
@@ -186,12 +201,27 @@ def commuting_factor_matrix(cfg: ClockConfig, t: float,
     np.fill_diagonal(diff, 1.0)
     k = 1j * cfg.hbar / diff * (np.exp(1j * diff * t / cfg.hbar) - 1.0)
     np.fill_diagonal(k, 0.0)
+    return sd, k
+
+
+def commuting_factor_matrix(cfg: ClockConfig, t: float,
+                            tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """K(t) of the generalized weak Weyl relation T U(t) = U(t)(T + K(t)).
+
+    Requires a nondegenerate generator (DegenerateHamiltonian otherwise).
+    """
+    sd, k = _commuting_factor_eigenbasis(cfg, t, tol)
     v = sd.eigenvectors
     return v @ k @ v.conj().T
 
 
 def commuting_factor(cfg: ClockConfig, t: float, psi,
                      tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """K(t) applied to an arbitrary state (T's domain is the whole space)."""
+    """K(t) applied to an arbitrary state (T's domain is the whole space).
+
+    K(t) is applied right to left in H's eigenbasis, V (K_e (V† psi)), which
+    after the eigendecomposition costs O(N^2) for any H.
+    """
+    sd, k = _commuting_factor_eigenbasis(cfg, t, tol)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return commuting_factor_matrix(cfg, t, tol) @ psi
+    return sd.from_eigenbasis(k @ sd.to_eigenbasis(psi))

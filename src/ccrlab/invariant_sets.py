@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import EmptyInput, NonPositiveValue
-from .matrix_core import Propagator, eigh, propagator
+from .matrix_core import Propagator, Subspace, eigh, propagator
 from .pair_builder import CanonicalSolution
 
 SPECTATOR_TOL = 1e-10  # amplitude below which a level does not see the domain
@@ -130,7 +130,7 @@ def _retained_differences(sol: CanonicalSolution, h, tol: ToleranceConfig):
     sd = eigh(h, tol)
     starts = np.array([cluster[0] for cluster in sd.clusters])
     if sol.domain.dim:
-        coeffs = sd.eigenvectors.conj().T @ sol.domain.basis  # (N, dim)
+        coeffs = sd.to_eigenbasis(sol.domain.basis)  # (N, dim)
         weights = np.maximum.reduceat(np.max(np.abs(coeffs), axis=1), starts)
     else:
         weights = np.zeros(starts.size)
@@ -164,13 +164,12 @@ def invariant_set(sol: CanonicalSolution, h, cfg: GcdConfig = GcdConfig(),
                         generator_gcd=g, excluded_levels=frozenset(excluded))
 
 
-def _membership_residual(prop: Propagator, basis: np.ndarray, t: float) -> float:
-    """Largest distance of an evolved basis vector U(t) b from span(basis)."""
-    if basis.shape[1] == 0:
+def _membership_residual(prop: Propagator, domain: Subspace, t: float,
+                         tol: ToleranceConfig) -> float:
+    """Largest distance of an evolved basis vector U(t) b from the domain."""
+    if domain.dim == 0:
         return 0.0
-    moved = prop.apply(t, basis)
-    proj = basis @ (basis.conj().T @ moved)
-    return float(np.max(np.linalg.norm(moved - proj, axis=0)))
+    return float(np.max(domain.distances(prop.apply(t, domain.basis), tol)))
 
 
 def check_membership(sol: CanonicalSolution, h, t: float, hbar: float = 1.0,
@@ -180,5 +179,5 @@ def check_membership(sol: CanonicalSolution, h, t: float, hbar: float = 1.0,
     Returns (is_member, residual) where residual is the largest distance
     of an evolved basis vector from the domain subspace.
     """
-    residual = _membership_residual(propagator(h, hbar, tol), sol.domain.basis, t)
+    residual = _membership_residual(propagator(h, hbar, tol), sol.domain, t, tol)
     return residual <= tol.membership_tol, residual

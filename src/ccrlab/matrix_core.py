@@ -9,6 +9,7 @@ certification fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -96,8 +97,42 @@ class Subspace:
         v = np.asarray(v, dtype=complex).reshape(-1)
         return float(np.linalg.norm(v - self.project(v)))
 
-    def contains(self, v: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.distance(v) <= tol
+    def distances(self, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+        """Euclidean distance from the subspace of a vector x, or of each
+        column of a matrix x.
+
+        The distance of a column is its norm in the orthogonal complement,
+        measured from the smaller side: when dim > N/2 it is ||Q†x|| for an
+        orthonormal basis Q of the complement (complement_basis), which
+        costs O(N*dim*(N - dim)); otherwise, or when Q fails its
+        certificate, it is ||x - P x|| for the projection P onto the
+        subspace, which costs O(N*dim^2).
+        """
+        x = np.asarray(x, dtype=complex)
+        q = self.complement_basis(tol) if 2 * self.dim > self.ambient_dim else None
+        if q is not None:
+            return np.linalg.norm(q.conj().T @ x, axis=0)
+        return np.linalg.norm(x - self.basis @ (self.basis.conj().T @ x), axis=0)
+
+    def complement_basis(self, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[np.ndarray]:
+        """Orthonormal basis Q of the orthogonal complement, or None.
+
+        Built deterministically from the unit vectors at the N - dim rows of
+        lowest leverage (squared row norm of the basis), where the complement
+        weighs most: they are orthogonalized against the basis twice
+        (classical Gram-Schmidt with reorthogonalization) and
+        orthonormalized by QR.  Q is returned only if ||basis† Q||_F is
+        within tol.spectral_tol, which fails when the chosen unit vectors
+        do not span the complement.  basis† Q is formed as (Q† basis)†,
+        which does not copy the basis.
+        """
+        b = self.basis
+        rows = np.argsort(np.sum(np.abs(b) ** 2, axis=1), kind="stable")[:b.shape[0] - b.shape[1]]
+        q = -(b @ b[rows].conj().T)
+        q[rows, np.arange(rows.size)] += 1.0
+        q -= b @ (q.conj().T @ b).conj().T
+        q = np.linalg.qr(q)[0]
+        return q if frobenius(q.conj().T @ b) <= tol.spectral_tol else None
 
     def principal_angles(self, other: "Subspace") -> np.ndarray:
         """The min(dim, other.dim) principal angles to other, largest first.
@@ -158,10 +193,30 @@ class SpectralData:
     eigenvectors: np.ndarray         # columns, orthonormal
     clusters: list[list[int]] = field(default_factory=list)
     cluster_tol: float = 0.0
+    # set when eigenvectors is the identity with its columns in this order
+    permutation: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
+
+    def to_eigenbasis(self, x) -> np.ndarray:
+        """V† x for a vector or a matrix of columns: a gather of x's rows
+        when the eigenbasis V is a permutation, else a dense product."""
+        x = np.asarray(x, dtype=complex)
+        if self.permutation is not None:
+            return x[self.permutation]
+        return self.eigenvectors.conj().T @ x
+
+    def from_eigenbasis(self, y) -> np.ndarray:
+        """V y for a vector or a matrix of columns: a scatter of y's rows
+        when the eigenbasis V is a permutation, else a dense product."""
+        y = np.asarray(y, dtype=complex)
+        if self.permutation is not None:
+            x = np.empty_like(y)
+            x[self.permutation] = y
+            return x
+        return self.eigenvectors @ y
 
     def eigenspace(self, cluster: list[int]) -> Subspace:
         return Subspace(fix_phase(self.eigenvectors[:, cluster]))
@@ -187,10 +242,12 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
     cluster_tol relative to the spectral range.  An exactly diagonal h is
     read off without LAPACK: its sorted diagonal and the matching unit
     vectors, which for an ascending diagonal (every B of SpectrumSpec) are
-    np.linalg.eigh's output bit for bit.
+    np.linalg.eigh's output bit for bit.  The sorting order is kept as the
+    permutation, so that products with the eigenbasis become gathers.
     """
     h = require_hermitian(h, tol)
     d = _diagonal(h)
+    order = None
     if d is None:
         vals, vecs = np.linalg.eigh(h)
     else:
@@ -198,7 +255,7 @@ def eigh(h, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
         vals, vecs = d.real[order], np.eye(h.shape[0], dtype=complex)[:, order]
     scale = max(float(np.max(np.abs(vals))), 1.0) if vals.size else 1.0
     ctol = tol.cluster_tol * scale
-    return SpectralData(vals, vecs, cluster_indices(vals, ctol), ctol)
+    return SpectralData(vals, vecs, cluster_indices(vals, ctol), ctol, order)
 
 
 # The weight mu in K = mu*H1 - H2.  Two eigenvalues of M share an eigenvalue
@@ -309,15 +366,19 @@ class Propagator:
         return np.exp(-1j * np.multiply.outer(e, np.asarray(t, dtype=float)) / self.hbar)
 
     def unitary(self, t: float) -> np.ndarray:
-        v = self.spectral.eigenvectors
+        """U(t) as a matrix; diagonal when H's eigenbasis is a permutation."""
+        sd = self.spectral
+        if sd.permutation is not None:
+            return np.diag(sd.from_eigenbasis(self.phases(t)))
+        v = sd.eigenvectors
         return (v * self.phases(t)) @ v.conj().T
 
     def apply(self, t: float, x) -> np.ndarray:
         """U(t) @ x for a vector or a matrix of columns, without forming U(t)."""
-        v = self.spectral.eigenvectors
-        coeffs = v.conj().T @ np.asarray(x, dtype=complex)
+        coeffs = self.spectral.to_eigenbasis(x)
         phases = self.phases(t)
-        return v @ (phases * coeffs if coeffs.ndim == 1 else phases[:, None] * coeffs)
+        return self.spectral.from_eigenbasis(
+            phases * coeffs if coeffs.ndim == 1 else phases[:, None] * coeffs)
 
 
 def propagator(h, hbar: float = 1.0, tol: ToleranceConfig = DEFAULT_TOL) -> Propagator:

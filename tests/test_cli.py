@@ -170,6 +170,17 @@ def test_clock_command_csv(tmp_path, capsys):
     assert "." in first[0] and "," not in first[0].replace(",", "")
 
 
+@pytest.mark.parametrize("index", ["0", "1"])
+def test_clock_arrival_sign_draws_the_state_from_the_arrival_domain(tmp_path, capsys, index):
+    """A time-of-arrival clock on a 2-level pair runs backwards."""
+    out = tmp_path / "sol.json"
+    run(capsys, "build", "--levels", "0,1", "--out", str(out))
+    code, stdout, _ = run(capsys, "clock", "--solution", str(out), "--sign", "-1",
+                          "--base-index", index, "--csv", str(tmp_path / "trace.csv"))
+    assert code == 0
+    assert "slope = -1.000" in stdout
+
+
 def test_clock_base_index_zero_always_ok(tmp_path, capsys):
     out = tmp_path / "sol.json"
     run(capsys, "build", "--levels", f"0,1,{float(np.sqrt(2))!r}", "--out", str(out))

@@ -20,7 +20,6 @@ from .errors import (
     DegenerateHamiltonian,
     StateOutsideDomain,
 )
-from .invariant_sets import _membership_residual
 from .matrix_core import (
     Subspace,
     commutator,
@@ -134,14 +133,17 @@ def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
     V is a permutation (a diagonal H), T_e and V†phi are gathers.
     """
     prop = propagator(cfg.H, cfg.hbar, tol)
-    resid = _membership_residual(prop, cfg.domain, base_point, tol)
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    # the evolved domain basis and phi, measured from the domain in one pass
+    dists = cfg.domain.distances(
+        np.column_stack([prop.apply(base_point, cfg.domain.basis), phi]), tol)
+    resid = float(np.max(dists[:-1], initial=0.0))
     if resid > tol.membership_tol:
         raise BasePointNotInvariant(
             f"t = {base_point} leaves the domain (residual {resid:.3e})")
     phi = require_normalized(phi, tol)
-    dist = float(cfg.domain.distances(phi, tol))
-    if dist > tol.membership_tol:
-        raise StateOutsideDomain(f"phi lies {dist:.3e} from the clock's domain")
+    if dists[-1] > tol.membership_tol:
+        raise StateOutsideDomain(f"phi lies {dists[-1]:.3e} from the clock's domain")
     tau_grid = np.asarray(tau_grid, dtype=float).reshape(-1)
     sd = prop.spectral
     phi_e = sd.to_eigenbasis(phi)

@@ -88,14 +88,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        return self.basis @ (self.basis.conj().T @ v)
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of a vector x, or of each column of a matrix x."""
+        return self.basis @ (self.basis.conj().T @ np.asarray(x, dtype=complex))
 
-    def distance(self, v: np.ndarray) -> float:
-        """Euclidean distance of v from the subspace."""
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        return float(np.linalg.norm(v - self.project(v)))
+    def distance(self, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+        """Euclidean distance of v from the subspace (see distances)."""
+        return float(self.distances(np.asarray(v, dtype=complex).reshape(-1), tol))
 
     def distances(self, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         """Euclidean distance from the subspace of a vector x, or of each
@@ -112,7 +111,7 @@ class Subspace:
         q = self.complement_basis(tol) if 2 * self.dim > self.ambient_dim else None
         if q is not None:
             return np.linalg.norm(q.conj().T @ x, axis=0)
-        return np.linalg.norm(x - self.basis @ (self.basis.conj().T @ x), axis=0)
+        return np.linalg.norm(x - self.project(x), axis=0)
 
     def complement_basis(self, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[np.ndarray]:
         """Orthonormal basis Q of the orthogonal complement, or None.
@@ -366,11 +365,7 @@ class Propagator:
         return np.exp(-1j * np.multiply.outer(e, np.asarray(t, dtype=float)) / self.hbar)
 
     def unitary(self, t: float) -> np.ndarray:
-        """U(t) as a matrix; diagonal when H's eigenbasis is a permutation."""
-        sd = self.spectral
-        if sd.permutation is not None:
-            return np.diag(sd.from_eigenbasis(self.phases(t)))
-        v = sd.eigenvectors
+        v = self.spectral.eigenvectors
         return (v * self.phases(t)) @ v.conj().T
 
     def apply(self, t: float, x) -> np.ndarray:

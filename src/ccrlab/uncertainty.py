@@ -89,7 +89,7 @@ def _require_in_domain(sol: CanonicalSolution, phi, tol: ToleranceConfig):
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
         raise NotNormalized("state must have unit norm")
-    dist = sol.domain.distance(phi)
+    dist = sol.domain.distance(phi, tol)
     if dist > tol.membership_tol:
         raise StateOutsideDomain(f"state is {dist:.3e} away from the canonical domain")
     return phi

@@ -80,12 +80,6 @@ def reference_apply(h, t, x, hbar=1.0):
     return v @ (phases * coeffs if coeffs.ndim == 1 else phases[:, None] * coeffs)
 
 
-def reference_unitary(h, t, hbar=1.0):
-    sd = eigh(h)
-    v = sd.eigenvectors
-    return (v * np.exp(-1j * sd.eigenvalues * t / hbar)) @ v.conj().T
-
-
 def reference_trace(cfg, phi, base_point, tau):
     """clock_trace's samples with T_e = V†TV and V†phi as dense products."""
     sd = eigh(cfg.H)
@@ -122,7 +116,6 @@ def test_propagator_matches_the_dense_formula(n, kind):
     for t in (0.0, 0.37, -11.5):
         assert_agree(prop.apply(t, vec), reference_apply(sol.B, t, vec), kind)
         assert_agree(prop.apply(t, mat), reference_apply(sol.B, t, mat), kind)
-        assert_agree(prop.unitary(t), reference_unitary(sol.B, t), kind)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -254,7 +247,6 @@ def test_a_permuted_eigenbasis_is_never_multiplied(kind, monkeypatch):
     assert np.array_equal(trace.expectation, expected[1].expectation)
     assert np.array_equal(trace.delta_T, expected[1].delta_T)
     assert np.array_equal(k_psi, expected[2])
-    assert np.all(np.isfinite(Propagator(nan_sd).unitary(0.3)))
 
 
 # --- clock_trace's domain check ---------------------------------------------------------

@@ -17,9 +17,7 @@ from .clock import (
     linearity_fit,
 )
 from .commutator_lab import (
-    Relation,
     RelationReport,
-    as_solution,
     classify,
     commutator_fixing_state,
     dft_zero_diagonal,
@@ -50,7 +48,6 @@ from .matrix_core import (
 from .pair_builder import (
     CATALOG_FAMILIES,
     CanonicalSolution,
-    CatalogEntry,
     CatalogParams,
     PairParams,
     SpectrumSpec,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,9 +63,10 @@ def _matrix_arg(text: str) -> np.ndarray:
 
 def _vector_arg(text: str) -> np.ndarray:
     obj = _json_arg(text)
-    if isinstance(obj, dict):
-        obj = obj["amplitudes"]
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj["amplitudes"] if isinstance(obj, dict) else obj, dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise serialize.SerializationError(f"malformed state: {exc!r}") from exc
     if arr.ndim == 2 and arr.shape[1] == 2:
         return arr[:, 0] + 1j * arr[:, 1]
     return arr.astype(complex).reshape(-1)
@@ -131,7 +133,7 @@ def cmd_invariant_set(args, tol) -> int:
     sol = serialize.solution_from_obj(serialize.load(args.solution))
     h = _matrix_arg(args.h) if args.h else sol.B
     cfg = GcdConfig(max_denominator=args.max_denominator)
-    iset = invariant_set(sol, h, cfg, sol.hbar, tol)
+    iset = invariant_set(sol, h, cfg, tol)
     out = {
         "kind": iset.kind.value,
         "period": iset.period,
@@ -171,7 +173,9 @@ def cmd_audit(args, tol) -> int:
 def cmd_clock(args, tol) -> int:
     sol = serialize.solution_from_obj(serialize.load(args.solution))
     cfg = clock_from_solution(sol, sign=args.sign, tol=tol)
-    iset = invariant_set(sol, cfg.H, GcdConfig(), sol.hbar, tol)
+    # the clock's own relation: [T, H] = sign*i*hbar on the clock's domain
+    relation = replace(sol, c=cfg.sign * 1j * sol.hbar, domain=cfg.domain)
+    iset = invariant_set(relation, cfg.H, GcdConfig(), tol)
     n = args.base_index
     if iset.kind is InvariantKind.ZERO_ONLY:
         if n != 0:
@@ -209,14 +213,14 @@ def cmd_catalog_3d(args, tol) -> int:
         vals = tuple(_floats(args.b_values))
         params = CatalogParams(vals, params.beta, params.alpha,
                                params.diag_a, args.hbar)
-    entries = catalog_3d(args.family, params, tol)
+    relations = catalog_3d(args.family, params, tol)
     out = [
         {
-            "c": [e.c.real, e.c.imag],
-            "essentially_canonical": e.essentially_canonical,
-            "solution": serialize.solution_to_obj(e.solution),
+            "c": [r.c.real, r.c.imag],
+            "essentially_canonical": r.essentially_canonical,
+            "solution": serialize.solution_to_obj(r),
         }
-        for e in entries
+        for r in relations
     ]
     serialize.dump(out, args.out)
     return EXIT_OK

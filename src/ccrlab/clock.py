@@ -93,7 +93,7 @@ def clock_from_solution(sol: CanonicalSolution, h=None, sign: int = PASSAGE_TIME
     domain = sol.domain
     if sign == TIME_OF_ARRIVAL:
         c = commutator(sol.A, h)
-        domain = eigenspace(c, -1j * sol.hbar, tol.relation_window, tol)
+        domain = eigenspace(c, -1j * sol.hbar, tol)
         if domain.dim == 0:
             raise ConstraintViolated("no -i*hbar eigenspace: pair has no arrival-type domain")
     return ClockConfig(h, sol.A, domain, sign, sol.hbar, tol)

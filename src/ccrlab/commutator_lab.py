@@ -18,7 +18,6 @@ from .errors import (
 )
 from .matrix_core import (
     SpectralData,
-    Subspace,
     as_matrix,
     commutator,
     eigh,
@@ -29,25 +28,18 @@ from .matrix_core import (
 from .pair_builder import CanonicalSolution
 
 __all__ = [
-    "Relation", "RelationReport", "classify", "commutator", "as_solution",
+    "RelationReport", "classify", "commutator",
     "dft_zero_diagonal", "factorize", "commutator_fixing_state",
 ]
 
 
 @dataclass(frozen=True)
-class Relation:
-    c: complex
-    domain: Subspace
-    essentially_canonical: bool
-
-
-@dataclass(frozen=True)
 class RelationReport:
     commutator: np.ndarray
-    relations: list[Relation]
+    relations: list[CanonicalSolution]
     trace_residual: float
 
-    def nonzero(self) -> list[Relation]:
+    def nonzero(self) -> list[CanonicalSolution]:
         return [r for r in self.relations if r.essentially_canonical]
 
 
@@ -56,8 +48,9 @@ def classify(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RelationReport:
 
     The commutator of a Hermitian pair is anti-Hermitian, so i*[A,B] is
     Hermitian; its eigenvalue clusters map back to the purely imaginary
-    commutator eigenvalues, each paired with its eigenspace.  Relations
-    come back sorted by Im(c) descending.
+    commutator eigenvalues, each paired with its eigenspace.  Each relation
+    is a CanonicalSolution of provenance "classified"; they come back
+    sorted by Im(c) descending.
     """
     a = require_hermitian(a, tol)
     b = require_hermitian(b, tol)
@@ -73,16 +66,10 @@ def classify(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RelationReport:
         if abs(m) <= zero_tol:
             m = 0.0
         cc = -1j * m  # eigenvalue of C = -i (iC)
-        relations.append(Relation(cc, sd.eigenspace(cluster), m != 0.0))
+        relations.append(CanonicalSolution(a, b, cc, sd.eigenspace(cluster), "classified"))
     # Im(c) = -m: descending Im(c) means ascending m; eigh already sorts ascending.
     relations.sort(key=lambda r: (-r.c.imag, -r.domain.dim))
     return RelationReport(c, relations, abs(np.trace(c)))
-
-
-def as_solution(a, b, relation: Relation, hbar: float = 1.0):
-    """Package a classified relation as a solution record for downstream use."""
-    return CanonicalSolution(as_matrix(a), as_matrix(b), relation.c,
-                             relation.domain, "classified", hbar)
 
 
 def dft_zero_diagonal(c, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -142,8 +142,8 @@ def _retained_differences(sol: CanonicalSolution, h, tol: ToleranceConfig):
 
 
 def invariant_set(sol: CanonicalSolution, h, cfg: GcdConfig = GcdConfig(),
-                  hbar: float = 1.0, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantSet:
-    """Invariant set of sol's domain under U(t) = exp(-iHt/hbar)."""
+                  tol: ToleranceConfig = DEFAULT_TOL) -> InvariantSet:
+    """Invariant set of sol's domain under U(t) = exp(-iHt/hbar), hbar = sol.hbar."""
     sd, diffs, excluded = _retained_differences(sol, h, tol)
     h = np.asarray(h, dtype=complex)
     if sol.domain.dim == 1:
@@ -160,7 +160,7 @@ def invariant_set(sol: CanonicalSolution, h, cfg: GcdConfig = GcdConfig(),
     g = real_gcd(diffs, cfg)
     if g is None:
         return InvariantSet(InvariantKind.ZERO_ONLY, excluded_levels=frozenset(excluded))
-    return InvariantSet(InvariantKind.LATTICE, period=2.0 * math.pi * hbar / g,
+    return InvariantSet(InvariantKind.LATTICE, period=2.0 * math.pi * sol.hbar / g,
                         generator_gcd=g, excluded_levels=frozenset(excluded))
 
 
@@ -172,12 +172,13 @@ def _membership_residual(prop: Propagator, domain: Subspace, t: float,
     return float(np.max(domain.distances(prop.apply(t, domain.basis), tol)))
 
 
-def check_membership(sol: CanonicalSolution, h, t: float, hbar: float = 1.0,
+def check_membership(sol: CanonicalSolution, h, t: float,
                      tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether U(t) maps the whole domain back into the domain.
+    """Whether U(t) = exp(-iHt/hbar), hbar = sol.hbar, maps the whole domain
+    back into the domain.
 
     Returns (is_member, residual) where residual is the largest distance
     of an evolved basis vector from the domain subspace.
     """
-    residual = _membership_residual(propagator(h, hbar, tol), sol.domain, t, tol)
+    residual = _membership_residual(propagator(h, sol.hbar, tol), sol.domain, t, tol)
     return residual <= tol.membership_tol, residual

@@ -335,16 +335,16 @@ def normal_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
     return r - 1j * (w - _MIX * r), vecs
 
 
-def eigenspace(m, lam: complex, tol: float, config: ToleranceConfig = DEFAULT_TOL) -> Subspace:
+def eigenspace(m, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the eigenspace of a normal matrix at lam.
 
-    Eigenvalues within tol * ||M|| of lam are collected; the empty
-    subspace is a legal result.  The eigenbasis comes from normal_eig, one
-    certified eigh for every normal M (NotNormal otherwise).
+    Eigenvalues within tol.relation_window * ||M|| of lam are collected;
+    the empty subspace is a legal result.  The eigenbasis comes from
+    normal_eig, one certified eigh for every normal M (NotNormal otherwise).
     """
-    vals, vecs = normal_eig(m, config)
+    vals, vecs = normal_eig(m, tol)
     scale = max(frobenius(np.asarray(m, dtype=complex)), 1.0)
-    keep = np.abs(vals - lam) <= tol * scale
+    keep = np.abs(vals - lam) <= tol.relation_window * scale
     return Subspace(fix_phase(vecs[:, keep]))
 
 

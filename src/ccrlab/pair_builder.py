@@ -148,6 +148,11 @@ class CanonicalSolution:
     def dim(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def essentially_canonical(self) -> bool:
+        """Whether c is nonzero; c = 0 relations are kept for completeness."""
+        return self.c != 0
+
     def commutator(self) -> np.ndarray:
         return commutator(self.A, self.B)
 
@@ -186,7 +191,7 @@ def _solve(spec: SpectrumSpec, params: PairParams, provenance: str,
     require_hermitian(a, tol)
     c = commutator(a, b)
     target = 1j * params.hbar
-    domain = eigenspace(c, target, tol.relation_window, tol)
+    domain = eigenspace(c, target, tol)
     if domain.dim == 0:
         window = tol.relation_window * max(frobenius(c), 1.0)
         raise ConstraintViolated(
@@ -240,7 +245,7 @@ def project_pair(sol: CanonicalSolution, keep, tol: ToleranceConfig = DEFAULT_TO
         a = a + np.diag(np.asarray(extra_diag, dtype=float)).astype(complex)
     c = commutator(a, sol.B)
     target = 1j * sol.hbar
-    domain = eigenspace(c, target, tol.relation_window, tol)
+    domain = eigenspace(c, target, tol)
     if domain.dim == 0:
         raise NoCanonicalEigenvalue("i*hbar is not an eigenvalue after projection")
     return CanonicalSolution(a, sol.B, target, domain, "projection", sol.hbar)
@@ -289,16 +294,6 @@ class CatalogParams:
     alpha: tuple[float, float, float] = (0.0, 0.0, 0.0)        # alpha_12, alpha_13, alpha_23
     diag_a: tuple[float, float, float] = (0.0, 0.0, 0.0)
     hbar: float = 1.0
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One commutation relation of a catalog pair; c = 0 entries are kept
-    for completeness but flagged as not essentially canonical."""
-
-    c: complex
-    solution: CanonicalSolution
-    essentially_canonical: bool
 
 
 def default_catalog_params(family: str) -> CatalogParams:
@@ -387,23 +382,23 @@ def _catalog_matrices(family: str, p: CatalogParams):
 
 
 def catalog_3d(family: str, params: Optional[CatalogParams] = None,
-               tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
+               tol: ToleranceConfig = DEFAULT_TOL) -> list[CanonicalSolution]:
     """Instantiate a 3D solution family and emit all its commutation relations.
 
-    Domains are computed numerically as eigenspaces of [A, B]; each entry
-    carries the realized eigenvalue c, with c = 0 records flagged as not
+    Domains are computed numerically as eigenspaces of [A, B]; each relation
+    carries the realized eigenvalue c, and the c = 0 records are not
     essentially canonical.
     """
     p = params or default_catalog_params(family)
     a, b, cs = _catalog_matrices(family, p)
     require_hermitian(a, tol)
     c_mat = commutator(a, b)
-    entries = []
+    relations = []
     for c in cs:
-        domain = eigenspace(c_mat, c, tol.relation_window, tol)
+        domain = eigenspace(c_mat, c, tol)
         if domain.dim == 0:
             raise FamilyConstraintViolated(
                 f"family {family}: expected commutator eigenvalue {c} is absent")
-        sol = CanonicalSolution(a, b, complex(c), domain, f"catalog-3d:{family}", p.hbar)
-        entries.append(CatalogEntry(complex(c), sol, abs(c) > 1e-12))
-    return entries
+        relations.append(CanonicalSolution(a, b, complex(c), domain,
+                                           f"catalog-3d:{family}", p.hbar))
+    return relations

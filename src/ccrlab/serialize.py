@@ -40,11 +40,11 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
         dim = int(obj["dim"])
         entries = obj["entries"]
+        if len(entries) != dim * dim:
+            raise DimensionMismatch(f"expected {dim * dim} entries, got {len(entries)}")
+        flat = np.array([complex(re, im) for re, im in entries])
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed matrix object: {exc}") from exc
-    if len(entries) != dim * dim:
-        raise DimensionMismatch(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(dim, dim)
 
 
@@ -54,7 +54,10 @@ def vector_to_obj(v) -> list[list[float]]:
 
 
 def vector_from_obj(obj) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj])
+    try:
+        return np.array([complex(re, im) for re, im in obj])
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed vector: {exc}") from exc
 
 
 def solution_to_obj(sol: CanonicalSolution) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotNormalized, StateOutsideDomain
-from .matrix_core import require_hermitian
+from .matrix_core import require_hermitian, require_normalized
 from .pair_builder import CanonicalSolution
 
 
@@ -86,9 +86,7 @@ def _fit_gamma(a, b, phi):
 
 
 def _require_in_domain(sol: CanonicalSolution, phi, tol: ToleranceConfig):
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise NotNormalized("state must have unit norm")
+    phi = require_normalized(phi, tol)
     dist = sol.domain.distance(phi, tol)
     if dist > tol.membership_tol:
         raise StateOutsideDomain(f"state is {dist:.3e} away from the canonical domain")

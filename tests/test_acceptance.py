@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ccrlab.clock import clock_from_solution, clock_trace, commuting_factor, linearity_fit
-from ccrlab.commutator_lab import as_solution, classify, factorize
+from ccrlab.commutator_lab import classify, factorize
 from ccrlab.config import DEFAULT_TOL
 from ccrlab.invariant_sets import InvariantKind, check_membership, invariant_set
 from ccrlab.matrix_core import commutator, evolve
@@ -213,8 +213,7 @@ def test_criterion_8_invariant_sets():
         # (c) Pauli pair under sigma_z: full line
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]])
-        rel = classify(sx, sy).relations[0]
-        pauli_sol = as_solution(sx, sy, rel)
+        pauli_sol = classify(sx, sy).relations[0]
         assert invariant_set(pauli_sol, np.diag([1.0, -1.0])).kind is InvariantKind.FULL_LINE
 
 
@@ -235,8 +234,8 @@ def test_criterion_9_appendix_catalog():
             if expected_cs[family] is not None:
                 assert cs == expected_cs[family], family
             for e in entries:
-                c_mat = e.solution.commutator()
-                basis = e.solution.domain.basis
+                c_mat = e.commutator()
+                basis = e.domain.basis
                 resid = np.max(np.linalg.norm(c_mat @ basis - e.c * basis, axis=0))
                 assert resid <= 1e-9, (family, e.c)
                 assert e.essentially_canonical == (abs(e.c) > 1e-12)
@@ -246,15 +245,15 @@ def test_criterion_9_appendix_catalog():
             return next(e for e in catalog_3d(fam) if abs(e.c - c) < 1e-9)
 
         p2a = default_catalog_params("nondeg-2a")
-        assert entry("nondeg-2a", 1j).solution.domain.distance(
+        assert entry("nondeg-2a", 1j).domain.distance(
             np.array([-1j * p2a.beta[1], -1j * p2a.beta[2], 1.0]) / np.sqrt(2)) <= 1e-9
         p2c = default_catalog_params("nondeg-2c")
-        assert entry("nondeg-2c", 1j).solution.domain.distance(
+        assert entry("nondeg-2c", 1j).domain.distance(
             np.array([1.0, 1j * p2c.beta[0], 1j * p2c.beta[1]]) / np.sqrt(2)) <= 1e-9
         pd = default_catalog_params("degen")
-        assert entry("degen", 1j).solution.domain.distance(
+        assert entry("degen", 1j).domain.distance(
             np.array([-1j * pd.beta[1], -1j * pd.beta[2], 1.0]) / np.sqrt(2)) <= 1e-9
-        assert entry("degen", -1j).solution.domain.distance(
+        assert entry("degen", -1j).domain.distance(
             np.array([1j * pd.beta[1], 1j * pd.beta[2], 1.0]) / np.sqrt(2)) <= 1e-9
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from ccrlab import serialize
 from ccrlab.cli import main
-from ccrlab.pair_builder import SpectrumSpec, build_nondegenerate
+from ccrlab.clock import TIME_OF_ARRIVAL, clock_from_solution
+from ccrlab.errors import ConstraintViolated
+from ccrlab.pair_builder import CATALOG_FAMILIES, SpectrumSpec, build_nondegenerate, catalog_3d
 
 
 def run(capsys, *argv):
@@ -181,6 +183,27 @@ def test_clock_arrival_sign_draws_the_state_from_the_arrival_domain(tmp_path, ca
     assert "slope = -1.000" in stdout
 
 
+@pytest.mark.parametrize("family", CATALOG_FAMILIES)
+def test_clock_arrival_sign_uses_the_arrival_domains_invariant_set(tmp_path, capsys, family):
+    """Every catalog relation whose pair has a -i*hbar domain runs an arrival
+    clock at base index 1, the c = 0 relations included: the base point comes
+    from the invariant set of the arrival domain, not of the relation's own."""
+    clocks = 0
+    for k, relation in enumerate(catalog_3d(family)):
+        try:
+            clock_from_solution(relation, sign=TIME_OF_ARRIVAL)
+        except ConstraintViolated:
+            continue
+        path = tmp_path / f"relation-{k}.json"
+        serialize.dump(serialize.solution_to_obj(relation), str(path))
+        code, stdout, err = run(capsys, "clock", "--solution", str(path), "--sign", "-1",
+                                "--base-index", "1", "--csv", str(tmp_path / "trace.csv"))
+        assert code == 0, (relation.c, err)
+        assert "slope = -1.000" in stdout
+        clocks += 1
+    assert clocks == (0 if family in ("nondeg-1a", "nondeg-1b") else 3)
+
+
 def test_clock_base_index_zero_always_ok(tmp_path, capsys):
     out = tmp_path / "sol.json"
     run(capsys, "build", "--levels", f"0,1,{float(np.sqrt(2))!r}", "--out", str(out))
@@ -256,3 +279,21 @@ def test_factorize_honors_env_tolerance(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CCRLAB_TOL", "1e-8")
     code, _, _ = run(capsys, *argv)
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--a", '{"dim":1,"entries":[["a","b"]]}', "--b", "[[1]]"),
+    ("classify", "--a", '{"dim":1,"entries":[null]}', "--b", "[[1]]"),
+])
+def test_malformed_matrix_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: malformed matrix")
+
+
+def test_malformed_state_exit_1(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    run(capsys, "build", "--levels", "0,1", "--out", str(out))
+    code, _, err = run(capsys, "audit", "--solution", str(out), "--state", '{"x":1}')
+    assert code == 1
+    assert err.startswith("error: malformed state")

@@ -215,7 +215,7 @@ def test_trace_matches_per_sample_path(n, sign, hbar):
     sol = build_nondegenerate(SpectrumSpec.nondegenerate(levels), PairParams(hbar=hbar))
     # [A, -B] = -[A, B], so -B makes the solution's domain an arrival domain
     cfg = clock_from_solution(sol, h=sol.B if sign == PASSAGE_TIME else -sol.B, sign=sign)
-    iset = invariant_set(sol, sol.B, hbar=hbar)
+    iset = invariant_set(sol, sol.B)
     assert iset.kind is InvariantKind.LATTICE
     window = 0.05 * hbar / cfg.h_norm
     assert_matches_reference(cfg, random_unit(cfg.domain.basis, rng), iset.lattice_point(1),
@@ -229,9 +229,9 @@ def test_catalog_clock_traces_match_per_sample_path(family):
     clocks = 0
     for entry in catalog_3d(family):
         for sign in (PASSAGE_TIME, TIME_OF_ARRIVAL):
-            if entry.c != sign * 1j * entry.solution.hbar:
+            if entry.c != sign * 1j * entry.hbar:
                 continue
-            cfg = clock_from_solution(entry.solution, sign=sign)
+            cfg = clock_from_solution(entry, sign=sign)
             assert_matches_reference(cfg, random_unit(cfg.domain.basis, rng), 0.0, tau)
             clocks += 1
     assert clocks >= 1

@@ -3,14 +3,22 @@ import pytest
 
 from ccrlab import errors
 from ccrlab.commutator_lab import (
-    as_solution,
     classify,
     commutator_fixing_state,
     dft_zero_diagonal,
     factorize,
 )
-from ccrlab.matrix_core import commutator
-from ccrlab.pair_builder import SpectrumSpec, build_degenerate
+from ccrlab.config import DEFAULT_TOL
+from ccrlab.matrix_core import commutator, eigh, frobenius
+from ccrlab.pair_builder import (
+    CATALOG_FAMILIES,
+    CanonicalSolution,
+    PairParams,
+    SpectrumSpec,
+    build_degenerate,
+    build_nondegenerate,
+    catalog_3d,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -35,6 +43,8 @@ def test_classify_pauli_pair():
     assert plus.domain.dim == 1
     assert plus.domain.distance(np.array([1.0, 0.0])) < 1e-12
     assert all(r.essentially_canonical for r in report.relations)
+    assert plus.provenance == "classified"
+    assert plus.residual() <= 1e-10
 
 
 def test_classify_2d_canonical_pair():
@@ -52,6 +62,45 @@ def test_classify_two_level_degenerate():
     assert table == {1.0: 1, -1.0: 1, 0.0: 2}
     zero = [r for r in report.relations if r.c == 0]
     assert zero and not zero[0].essentially_canonical
+
+
+def reference_relations(a, b, tol=DEFAULT_TOL):
+    """(c, domain basis, essentially canonical) of each cluster of i[A, B],
+    with the verdict taken from the cluster mean after snapping to zero."""
+    c = commutator(a, b)
+    sd = eigh(1j * c, tol)
+    zero_tol = max(sd.cluster_tol, tol.spectral_tol * frobenius(c))
+    out = []
+    for cluster in sd.clusters:
+        m = float(np.mean(sd.eigenvalues[cluster]))
+        if abs(m) <= zero_tol:
+            m = 0.0
+        out.append((-1j * m, sd.eigenspace(cluster).basis, m != 0.0))
+    out.sort(key=lambda r: (-r[0].imag, -r[1].shape[1]))
+    return out
+
+
+def test_relations_are_solutions_with_the_cluster_c_domain_and_verdict():
+    pairs = [
+        (SX, SY),
+        (random_hermitian(4, 3), random_hermitian(4, 4)),
+        (random_hermitian(6, 5), random_hermitian(6, 6)),
+    ]
+    for sol in (build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 3.0))),
+                build_nondegenerate(SpectrumSpec.nondegenerate(np.arange(8.0) ** 1.5),
+                                    PairParams(hbar=0.5)),
+                build_degenerate(SpectrumSpec((0.0, 1.0, 2.5), (2, 3, 1)))):
+        pairs.append((sol.A, sol.B))
+    pairs += [(r.A, r.B) for r in (catalog_3d(f)[0] for f in CATALOG_FAMILIES)]
+    for a, b in pairs:
+        relations = classify(a, b).relations
+        ref = reference_relations(a, b)
+        assert len(relations) == len(ref)
+        for r, (c, basis, essential) in zip(relations, ref):
+            assert isinstance(r, CanonicalSolution) and r.provenance == "classified"
+            assert r.c == c
+            assert np.array_equal(r.domain.basis, basis)
+            assert r.essentially_canonical is essential
 
 
 def test_classify_commuting_pair_raises():
@@ -78,13 +127,6 @@ def test_classify_max_domain_dimension():
         for r in report.relations:
             if r.essentially_canonical:
                 assert r.domain.dim <= n - 1
-
-
-def test_as_solution_roundtrip():
-    report = classify(SX, SY)
-    sol = as_solution(SX, SY, report.relations[0])
-    assert sol.c == 2j
-    assert sol.residual() <= 1e-10
 
 
 def test_dft_zero_diagonal_2x2():

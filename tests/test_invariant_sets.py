@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccrlab import errors
-from ccrlab.commutator_lab import as_solution, classify
+from ccrlab.commutator_lab import classify
 from ccrlab.invariant_sets import (
     GcdConfig,
     InvariantKind,
@@ -10,7 +10,7 @@ from ccrlab.invariant_sets import (
     invariant_set,
     real_gcd,
 )
-from ccrlab.pair_builder import SpectrumSpec, build_nondegenerate, project_pair
+from ccrlab.pair_builder import PairParams, SpectrumSpec, build_nondegenerate, project_pair
 
 
 def nondeg(values):
@@ -87,8 +87,7 @@ def test_pauli_pair_full_line():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]])
     sz = np.diag([1.0, -1.0])
-    report = classify(sx, sy)
-    sol = as_solution(sx, sy, report.relations[0])
+    sol = classify(sx, sy).relations[0]
     iset = invariant_set(sol, sz)
     assert iset.kind is InvariantKind.FULL_LINE
     member, resid = check_membership(sol, sz, 0.618)
@@ -120,6 +119,19 @@ def test_2d_pair_period_and_half_period():
     assert not member
 
 
+def test_period_and_membership_use_the_solutions_hbar():
+    # U(t) = exp(-iBt/hbar) with hbar = 0.5 returns at t = 2*pi*0.5/g = pi
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 3.0)), PairParams(hbar=0.5))
+    iset = invariant_set(sol, sol.B)
+    assert iset.kind is InvariantKind.LATTICE
+    assert iset.generator_gcd == pytest.approx(1.0)
+    assert iset.period == 2 * np.pi * 0.5 / iset.generator_gcd
+    member, resid = check_membership(sol, sol.B, iset.period)
+    assert member, resid
+    member, resid = check_membership(sol, sol.B, iset.period / 2)
+    assert not member and resid > 1e-3
+
+
 def test_t_zero_always_member():
     for values in ((0.0, 1.0), (0.0, 1.0, np.sqrt(2.0))):
         sol = nondeg(values)
@@ -133,7 +145,7 @@ def test_half_period_maps_to_opposite_domain():
 
     sol = nondeg((0.0, 1.0))
     moved = evolve(sol.B, np.pi) @ sol.domain.basis[:, 0]
-    dminus = eigenspace(sol.commutator(), -1j, 1e-8)
+    dminus = eigenspace(sol.commutator(), -1j)
     assert dminus.distance(moved) <= 1e-10
 
 

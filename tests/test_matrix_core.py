@@ -61,33 +61,33 @@ def test_eigh_clusters_degeneracy():
 def test_eigenspace_plus_minus_c():
     c = 0.7j
     m = np.diag([0.0, 0.0, c, -c])
-    sub = eigenspace(m, c, 1e-10)
+    sub = eigenspace(m, c)
     assert sub.dim == 1
     assert abs(abs(sub.basis[2, 0]) - 1.0) < 1e-12
 
 
 def test_eigenspace_identity():
-    sub = eigenspace(np.eye(3), 1.0, 1e-10)
+    sub = eigenspace(np.eye(3), 1.0)
     assert sub.dim == 3
 
 
 def test_eigenspace_antihermitian_2x2():
     # eigenvector of [[0,-i],[-i,0]] at +i is (1,-1)/sqrt(2)
     m = np.array([[0, -1j], [-1j, 0]])
-    sub = eigenspace(m, 1j, 1e-10)
+    sub = eigenspace(m, 1j)
     assert sub.dim == 1
     target = np.array([1.0, -1.0]) / np.sqrt(2)
     assert sub.distance(target) < 1e-12
 
 
 def test_eigenspace_empty_allowed():
-    sub = eigenspace(np.diag([1.0, 2.0]), 5.0, 1e-10)
+    sub = eigenspace(np.diag([1.0, 2.0]), 5.0)
     assert sub.dim == 0
 
 
 def test_eigenspace_rejects_nonnormal():
     with pytest.raises(errors.NotNormal):
-        eigenspace(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0, 1e-10)
+        eigenspace(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0)
 
 
 def test_evolve_identity_at_zero():

@@ -50,7 +50,7 @@ def schur_eigenspace(m, lam, window, config=DEFAULT_TOL):
 
 def assert_same_domain(c_mat, c):
     window = DEFAULT_TOL.relation_window
-    new = eigenspace(c_mat, c, window)
+    new = eigenspace(c_mat, c)
     ref = schur_eigenspace(c_mat, c, window)
     assert new.dim == ref.dim
     if new.dim:
@@ -93,7 +93,7 @@ def counting_eigh(monkeypatch):
 @pytest.mark.parametrize("family", CATALOG_FAMILIES)
 def test_catalog_domains_match_schur_path(family):
     for entry in catalog_3d(family):
-        assert_same_domain(entry.solution.commutator(), entry.c)
+        assert_same_domain(entry.commutator(), entry.c)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16, 64, 128, 256])
@@ -145,7 +145,7 @@ def test_rotated_roots_of_unity_match_schur_path(n):
 @pytest.mark.parametrize("build", [
     lambda: build_nondegenerate(SpectrumSpec.nondegenerate(nondegenerate_spectrum(256, 256))),
     lambda: build_degenerate(SpectrumSpec(nondegenerate_spectrum(64, 164), (4,) * 64)),
-    lambda: catalog_3d("nondeg-2c")[0].solution,
+    lambda: catalog_3d("nondeg-2c")[0],
 ], ids=["nondegenerate-256", "degenerate-64x4", "catalog-nondeg-2c"])
 def test_commutator_eigenbasis_is_bit_identical_to_eigh(build):
     """An exactly anti-Hermitian C gets -i*eigh(i*C) bit for bit, so relation
@@ -197,11 +197,10 @@ def slightly_perturbed_antihermitian():
 
 
 def test_perturbed_antihermitian_is_rejected_by_eigenspace():
-    window = DEFAULT_TOL.relation_window
     for c_mat in (perturbed_antihermitian(), slightly_perturbed_antihermitian()):
         with pytest.raises(errors.NotNormal):
-            eigenspace(c_mat, 1j, window)
-    eigenspace(slightly_perturbed_antihermitian(), 1j, window, DEFAULT_TOL.scaled(100))
+            eigenspace(c_mat, 1j)
+    eigenspace(slightly_perturbed_antihermitian(), 1j, DEFAULT_TOL.scaled(100))
 
 
 def test_perturbed_antihermitian_is_rejected_by_factorize():
@@ -250,8 +249,7 @@ def assert_diagonalizes(m, lam):
 def test_eigenvalues_merged_in_k_are_split_by_h1(delta):
     m, lam = merged_normal(delta)
     assert_diagonalizes(m, lam)
-    window = DEFAULT_TOL.relation_window
-    assert eigenspace(m, lam[0], window).dim == eigenspace(m, lam[1], window).dim == 1
+    assert eigenspace(m, lam[0]).dim == eigenspace(m, lam[1]).dim == 1
 
 
 @pytest.mark.parametrize("third", [1e-5, 1e-7, 1e-9])

@@ -3,7 +3,7 @@ import pytest
 
 import ccrlab.pair_builder
 from ccrlab import errors
-from ccrlab.matrix_core import commutator, eigh, span
+from ccrlab.matrix_core import commutator, eigenspace, eigh, span
 from ccrlab.pair_builder import (
     CATALOG_FAMILIES,
     CatalogParams,
@@ -217,7 +217,7 @@ def test_remap_minus_i():
     sol = nondeg((0.0, 1.0))
     c_mat = sol.commutator()
     from ccrlab.matrix_core import eigenspace
-    dminus = eigenspace(c_mat, -1j, 1e-8)
+    dminus = eigenspace(c_mat, -1j)
     from ccrlab.pair_builder import CanonicalSolution
     essential = CanonicalSolution(sol.A, sol.B, -1j, dminus, "manual")
     remapped = remap_essential_to_canonical(essential)
@@ -230,7 +230,7 @@ def test_remap_minus_2i():
     sol = nondeg((0.0, 1.0, 3.0))
     from ccrlab.matrix_core import eigenspace
     from ccrlab.pair_builder import CanonicalSolution
-    dom = eigenspace(sol.commutator(), -2j, 1e-8)
+    dom = eigenspace(sol.commutator(), -2j)
     essential = CanonicalSolution(sol.A, sol.B, -2j, dom, "manual")
     remapped = remap_essential_to_canonical(essential)
     assert np.allclose(remapped.A, -sol.A / 2.0, atol=1e-14)
@@ -262,20 +262,34 @@ def test_conjugated_preserves_residual():
 
 # --- catalog ---------------------------------------------------------------
 
+def catalog_cs(family):
+    """The closed-form c of each relation of a family at its default parameters."""
+    if family == "nondeg-1a":
+        return [1j, -2j]
+    if family == "nondeg-1b":
+        root = np.sqrt(4.0 * sum(abs(b) ** 2 for b in default_catalog_params(family).beta) - 3.0)
+        return [1j, -0.5 * (1.0 + root) * 1j, -0.5 * (1.0 - root) * 1j]
+    return [1j, -1j, 0]
+
+
 def test_catalog_all_families_instantiate():
     for family in CATALOG_FAMILIES:
         entries = catalog_3d(family)
         assert len(entries) >= 2
+        a, b = entries[0].A, entries[0].B
+        assert [e.c for e in entries] == catalog_cs(family)
         for e in entries:
-            assert e.solution.residual() <= 1e-9
+            assert e.residual() <= 1e-9
             assert e.essentially_canonical == (abs(e.c) > 1e-12)
+            assert e.A is a and e.B is b and e.provenance == f"catalog-3d:{family}"
+            assert np.array_equal(e.domain.basis, eigenspace(commutator(a, b), e.c).basis)
 
 
 def test_catalog_1a_relations():
     entries = catalog_3d("nondeg-1a")
     by_c = {complex(e.c): e for e in entries}
-    assert by_c[1j].solution.domain.dim == 2
-    assert by_c[-2j].solution.domain.dim == 1
+    assert by_c[1j].domain.dim == 2
+    assert by_c[-2j].domain.dim == 1
 
 
 def test_catalog_1b_eigenvalue_formula():
@@ -312,8 +326,8 @@ def test_catalog_degen_domains_match_closed_form():
     minus = next(e for e in entries if e.c == -1j)
     target_plus = np.array([-1j * b13, -1j * b23, 1.0]) / np.sqrt(2)
     target_minus = np.array([1j * b13, 1j * b23, 1.0]) / np.sqrt(2)
-    assert plus.solution.domain.distance(target_plus) < 1e-10
-    assert minus.solution.domain.distance(target_minus) < 1e-10
+    assert plus.domain.distance(target_plus) < 1e-10
+    assert minus.domain.distance(target_minus) < 1e-10
 
 
 def test_catalog_2c_domains_match_closed_form():
@@ -323,12 +337,12 @@ def test_catalog_2c_domains_match_closed_form():
     plus = next(e for e in entries if e.c == 1j)
     minus = next(e for e in entries if e.c == -1j)
     zero = next(e for e in entries if e.c == 0)
-    assert plus.solution.domain.distance(
+    assert plus.domain.distance(
         np.array([1.0, 1j * np.conj(b12), 1j * np.conj(b13)]) / np.sqrt(2)) < 1e-10
-    assert minus.solution.domain.distance(
+    assert minus.domain.distance(
         np.array([1.0, -1j * np.conj(b12), -1j * np.conj(b13)]) / np.sqrt(2)) < 1e-10
     kernel = np.array([0.0, b13, -b12])
-    assert zero.solution.domain.distance(kernel / np.linalg.norm(kernel)) < 1e-10
+    assert zero.domain.distance(kernel / np.linalg.norm(kernel)) < 1e-10
 
 
 def test_catalog_2a_domains_match_closed_form():
@@ -336,9 +350,9 @@ def test_catalog_2a_domains_match_closed_form():
     _, b13, b23 = default_catalog_params("nondeg-2a").beta
     plus = next(e for e in entries if e.c == 1j)
     minus = next(e for e in entries if e.c == -1j)
-    assert plus.solution.domain.distance(
+    assert plus.domain.distance(
         np.array([-1j * b13, -1j * b23, 1.0]) / np.sqrt(2)) < 1e-10
-    assert minus.solution.domain.distance(
+    assert minus.domain.distance(
         np.array([1j * b13, 1j * b23, 1.0]) / np.sqrt(2)) < 1e-10
 
 
@@ -355,7 +369,7 @@ def test_catalog_1b_domain_matches_closed_form():
         (abs(b12) ** 2 - 1) / (1j * b13 * np.exp(1j * a13)
                                + b12 * b23 * np.exp(1j * (a12 + a23))),
     ])
-    assert plus.solution.domain.distance(v / np.linalg.norm(v)) < 1e-10
+    assert plus.domain.distance(v / np.linalg.norm(v)) < 1e-10
 
 
 def test_catalog_1a_domains_match_closed_form():
@@ -367,7 +381,7 @@ def test_catalog_1a_domains_match_closed_form():
     v1 = np.array([1.0, 0.0, 1j * np.conj(b13) * np.exp(-1j * a13)])
     v2 = np.array([0.0, 1.0, 1j * np.conj(b23) * np.exp(-1j * a23)])
     for v in (v1, v2):
-        assert plus.solution.domain.distance(v / np.linalg.norm(v)) < 1e-10
+        assert plus.domain.distance(v / np.linalg.norm(v)) < 1e-10
     minus2 = next(e for e in entries if e.c == -2j)
     w = np.array([
         1.0,
@@ -376,4 +390,4 @@ def test_catalog_1a_domains_match_closed_form():
         (abs(b12) ** 2 - 4) / (-2j * b13 * np.exp(1j * a13)
                                + b12 * b23 * np.exp(1j * (a12 + a23))),
     ])
-    assert minus2.solution.domain.distance(w / np.linalg.norm(w)) < 1e-10
+    assert minus2.domain.distance(w / np.linalg.norm(w)) < 1e-10

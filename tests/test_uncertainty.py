@@ -110,6 +110,17 @@ def test_nonvanishing_on_domain_states():
         assert nonvanishing_check(sol, sol.domain.basis[:, k])
 
 
+def test_domain_state_slightly_off_unit_norm_rejected():
+    # 1e-11 off unit norm: beyond the default norm_tol (1e-12), which the
+    # domain check applies before any uncertainty is formed
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 3.0)))
+    phi = (1.0 + 1e-11) * sol.domain.basis[:, 0]
+    with pytest.raises(errors.NotNormalized):
+        audit_pair(sol, phi)
+    with pytest.raises(errors.NotNormalized):
+        nonvanishing_check(sol, phi)
+
+
 def test_state_outside_domain_rejected():
     sol = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0)))
     # half-period evolution maps the domain onto the -i eigenspace

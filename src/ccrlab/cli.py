@@ -22,7 +22,6 @@ from .config import tolerances_from_env
 from .errors import BasePointNotInvariant, CcrError, CommutingPair
 from .invariant_sets import GcdConfig, InvariantKind, invariant_set
 from .pair_builder import (
-    CatalogParams,
     PairParams,
     SpectrumSpec,
     build_degenerate,
@@ -189,6 +188,7 @@ def cmd_clock(args, tol) -> int:
     phi = _domain_state(cfg.domain, args)
     tau = np.linspace(-args.window, args.window, args.samples)
     trace = clock_trace(cfg, phi, base, tau, tol)
+    fit = linearity_fit(trace)
     lines = ["tau,expectation,delta_T,delta_H,product"]
     for k in range(len(tau)):
         lines.append(",".join(repr(float(x)) for x in (
@@ -200,7 +200,6 @@ def cmd_clock(args, tol) -> int:
     else:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    fit = linearity_fit(trace)
     print(f"slope = {fit.slope:+.3f}, t0 = {trace.t0!r}, "
           f"max residual = {fit.max_residual:.3e}",
           file=sys.stderr if args.csv == "-" else sys.stdout)
@@ -208,11 +207,9 @@ def cmd_clock(args, tol) -> int:
 
 
 def cmd_catalog_3d(args, tol) -> int:
-    params = default_catalog_params(args.family)
+    params = replace(default_catalog_params(args.family), hbar=args.hbar)
     if args.b_values:
-        vals = tuple(_floats(args.b_values))
-        params = CatalogParams(vals, params.beta, params.alpha,
-                               params.diag_a, args.hbar)
+        params = replace(params, b_values=tuple(_floats(args.b_values)))
     relations = catalog_3d(args.family, params, tol)
     out = [
         {

@@ -21,11 +21,11 @@ from .errors import (
     StateOutsideDomain,
 )
 from .matrix_core import (
+    Propagator,
     Subspace,
+    as_matrix,
     commutator,
     eigenspace,
-    eigh,
-    evolve,
     frobenius,
     propagator,
     relation_residual,
@@ -47,8 +47,7 @@ class WindowTooWide(UserWarning):
 class ClockConfig:
     """Generator H and time operator T, certified against tol on construction.
 
-    tol is the tolerance of those construction checks only; each clock
-    routine takes its own.
+    H is decomposed once, into the propagator every clock routine reads.
     """
 
     H: np.ndarray
@@ -57,14 +56,14 @@ class ClockConfig:
     sign: int = PASSAGE_TIME
     hbar: float = 1.0
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False, compare=False)
+    propagator: Propagator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (PASSAGE_TIME, TIME_OF_ARRIVAL):
             raise ValueError("sign must be +1 (passage time) or -1 (time of arrival)")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
-        h = require_hermitian(self.H, self.tol)
-        t = require_hermitian(self.T, self.tol)
+        # certifies H as Hermitian and rejects hbar <= 0
+        object.__setattr__(self, "propagator", propagator(self.H, self.hbar, self.tol))
+        h, t = as_matrix(self.H), require_hermitian(self.T, self.tol)
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "T", t)
         if self.domain.dim == 0:
@@ -79,7 +78,7 @@ class ClockConfig:
     @property
     def h_norm(self) -> float:
         """||H||_2 = max |E| over H's spectrum, as clock_trace reports it."""
-        return float(np.max(np.abs(eigh(self.H, self.tol).eigenvalues)))
+        return float(np.max(np.abs(self.propagator.spectral.eigenvalues)))
 
 
 def clock_from_solution(sol: CanonicalSolution, h=None, sign: int = PASSAGE_TIME,
@@ -99,9 +98,9 @@ def clock_from_solution(sol: CanonicalSolution, h=None, sign: int = PASSAGE_TIME
     return ClockConfig(h, sol.A, domain, sign, sol.hbar, tol)
 
 
-def heisenberg_T(cfg: ClockConfig, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def heisenberg_T(cfg: ClockConfig, t: float) -> np.ndarray:
     """T(t) = exp(iHt/hbar) T exp(-iHt/hbar)."""
-    u = evolve(cfg.H, t, cfg.hbar, tol)
+    u = cfg.propagator.unitary(t)
     return u.conj().T @ cfg.T @ u
 
 
@@ -127,12 +126,12 @@ def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
     NotNormalized or StateOutsideDomain otherwise, the latter when phi
     lies more than tol.membership_tol from the domain.
 
-    H is decomposed once, H = V diag(E) V†, and every sample is read in
-    its eigenbasis: with T_e = V†TV and psi(t) = exp(-iEt/hbar) * V†phi,
+    Every sample is read in the eigenbasis of the config's H = V diag(E) V†:
+    with T_e = V†TV and psi(t) = exp(-iEt/hbar) * V†phi,
     <T(t)> = <psi(t), T_e psi(t)> and <T(t)^2> = ||T_e psi(t)||^2.  When
     V is a permutation (a diagonal H), T_e and V†phi are gathers.
     """
-    prop = propagator(cfg.H, cfg.hbar, tol)
+    prop = cfg.propagator
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     # the evolved domain basis and phi, measured from the domain in one pass
     dists = cfg.domain.distances(
@@ -174,8 +173,13 @@ class LinearityFit:
 
 
 def linearity_fit(trace: ClockTrace) -> LinearityFit:
-    """Least-squares line through the trace; residuals quantify the O(tau^2) term."""
+    """Least-squares line through the trace; residuals quantify the O(tau^2) term.
+
+    ValueError when tau takes fewer than two distinct values: no slope.
+    """
     tau = trace.tau_grid
+    if np.unique(tau).size < 2:
+        raise ValueError("a linear fit needs at least two distinct tau values")
     if trace.h_norm > 0:
         width = float(np.max(np.abs(tau))) * trace.h_norm / trace.hbar
         if width > 0.5:
@@ -188,42 +192,41 @@ def linearity_fit(trace: ClockTrace) -> LinearityFit:
     return LinearityFit(float(slope), float(intercept), float(np.max(np.abs(resid))), qb)
 
 
-def _commuting_factor_eigenbasis(cfg: ClockConfig, t: float, tol: ToleranceConfig):
+def _commuting_factor_eigenbasis(cfg: ClockConfig, t: float):
     """H's spectral data and K(t) in H's eigenbasis.
 
     Requires a nondegenerate generator; in its eigenbasis
     K_ss' = i*hbar/(E_s - E_s') (exp(i(E_s - E_s')t/hbar) - 1) off the
-    diagonal and zero on it.
+    diagonal and zero on it; the exponential is conj(p_s) p_s' of the phases p.
     """
-    sd = eigh(cfg.H, tol)
+    sd = cfg.propagator.spectral
     if any(len(cl) > 1 for cl in sd.clusters):
         raise DegenerateHamiltonian("the commuting-factor formula needs distinct eigenvalues")
     e = sd.eigenvalues
     diff = e[:, None] - e[None, :]
     np.fill_diagonal(diff, 1.0)
-    k = 1j * cfg.hbar / diff * (np.exp(1j * diff * t / cfg.hbar) - 1.0)
+    p = cfg.propagator.phases(t)
+    k = 1j * cfg.hbar / diff * (np.outer(p.conj(), p) - 1.0)
     np.fill_diagonal(k, 0.0)
     return sd, k
 
 
-def commuting_factor_matrix(cfg: ClockConfig, t: float,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def commuting_factor_matrix(cfg: ClockConfig, t: float) -> np.ndarray:
     """K(t) of the generalized weak Weyl relation T U(t) = U(t)(T + K(t)).
 
     Requires a nondegenerate generator (DegenerateHamiltonian otherwise).
     """
-    sd, k = _commuting_factor_eigenbasis(cfg, t, tol)
+    sd, k = _commuting_factor_eigenbasis(cfg, t)
     v = sd.eigenvectors
     return v @ k @ v.conj().T
 
 
-def commuting_factor(cfg: ClockConfig, t: float, psi,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def commuting_factor(cfg: ClockConfig, t: float, psi) -> np.ndarray:
     """K(t) applied to an arbitrary state (T's domain is the whole space).
 
     K(t) is applied right to left in H's eigenbasis, V (K_e (V† psi)), which
-    after the eigendecomposition costs O(N^2) for any H.
+    costs O(N^2) for any H, whose decomposition cfg already holds.
     """
-    sd, k = _commuting_factor_eigenbasis(cfg, t, tol)
+    sd, k = _commuting_factor_eigenbasis(cfg, t)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     return sd.from_eigenbasis(k @ sd.to_eigenbasis(psi))

@@ -228,6 +228,25 @@ def test_catalog_3d_command(tmp_path, capsys):
     assert sorted(e["c"][1] for e in entries) == pytest.approx([-1.0, 0.0, 1.0])
 
 
+def test_catalog_3d_hbar_without_b_values(capsys):
+    code, stdout, _ = run(capsys, "catalog-3d", "--family", "nondeg-2a", "--hbar", "0.5")
+    assert code == 0
+    entries = json.loads(stdout)
+    assert sorted(tuple(e["c"]) for e in entries) == [(0.0, -0.5), (0.0, 0.0), (0.0, 0.5)]
+    assert [e["solution"]["hbar"] for e in entries] == [0.5] * len(entries)
+
+
+@pytest.mark.parametrize("argv", [("--samples", "1"), ("--window", "0"), ("--samples", "0")])
+def test_clock_without_a_slope_exit_1(tmp_path, capsys, argv):
+    """Fewer than two distinct tau values leave the linear fit undetermined."""
+    out = tmp_path / "sol.json"
+    run(capsys, "build", "--levels", "0,1,3", "--out", str(out))
+    code, stdout, stderr = run(capsys, "clock", "--solution", str(out), *argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+
+
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CCRLAB_TOL", "1e-10")
     out = tmp_path / "sol.json"

@@ -11,6 +11,7 @@ from ccrlab.clock import (
     clock_from_solution,
     clock_trace,
     commuting_factor,
+    commuting_factor_matrix,
     heisenberg_T,
     linearity_fit,
 )
@@ -132,6 +133,14 @@ def test_window_too_wide_warning():
         linearity_fit(trace)
 
 
+@pytest.mark.parametrize("tau", [[0.01], [0.0, 0.0, 0.0]])
+def test_fit_needs_two_distinct_tau_values(tau):
+    sol, cfg = clock_2d()
+    trace = clock_trace(cfg, cfg.domain.basis[:, 0], 0.0, np.array(tau))
+    with pytest.raises(ValueError):
+        linearity_fit(trace)
+
+
 def test_weak_weyl_relation():
     sol = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 2.0, 3.5)))
     cfg = clock_from_solution(sol)
@@ -238,8 +247,8 @@ def test_catalog_clock_traces_match_per_sample_path(family):
 
 
 def test_trace_decomposes_generator_once(monkeypatch):
+    """H is decomposed when the config is built; the trace reuses it."""
     sol = build_nondegenerate(SpectrumSpec.nondegenerate(np.arange(8.0)))
-    cfg = clock_from_solution(sol)
     calls = []
     eigh = ccrlab.matrix_core.eigh
 
@@ -248,8 +257,35 @@ def test_trace_decomposes_generator_once(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(ccrlab.matrix_core, "eigh", counting_eigh)
+    cfg = clock_from_solution(sol)
+    assert len(calls) == 1
     trace = clock_trace(cfg, cfg.domain.basis[:, 0], 2 * np.pi, np.linspace(-0.01, 0.01, 101))
     assert trace.expectation.shape == (101,)
+    assert len(calls) == 1
+
+
+def test_dense_generator_is_decomposed_once_per_config(monkeypatch):
+    """One LAPACK eigh of a dense H when the config is built, none in the routines."""
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 3.0, 4.0, 7.0, 9.0)))
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    sol = sol.conjugated(u)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cfg = clock_from_solution(sol)
+    assert len(calls) == 1
+    psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+    clock_trace(cfg, cfg.domain.basis[:, 0], 0.0, np.linspace(-0.01, 0.01, 11))
+    commuting_factor(cfg, 0.3, psi)
+    commuting_factor_matrix(cfg, 0.3)
+    heisenberg_T(cfg, 0.3)
+    assert cfg.h_norm == pytest.approx(9.0, rel=1e-12)
     assert len(calls) == 1
 
 

@@ -20,16 +20,16 @@ from ccrlab.config import DEFAULT_TOL, ToleranceConfig
 from ccrlab.errors import StateOutsideDomain
 from ccrlab.invariant_sets import _membership_residual, _retained_differences, invariant_set
 from ccrlab.matrix_core import Propagator, Subspace, eigh, propagator
-from ccrlab.pair_builder import SpectrumSpec, build_nondegenerate
+from ccrlab.pair_builder import PairParams, SpectrumSpec, build_nondegenerate
 from ccrlab.uncertainty import std_from_moments
 
 SIZES = [2, 3, 64, 256]
 
 
-def built(n):
+def built(n, hbar=1.0):
     """A canonical pair on integer levels, so its invariant set is a lattice."""
     levels = np.cumsum(np.random.default_rng(n).integers(1, 4, size=n)).astype(float)
-    return build_nondegenerate(SpectrumSpec.nondegenerate(levels))
+    return build_nondegenerate(SpectrumSpec.nondegenerate(levels), PairParams(hbar=hbar))
 
 
 def random_unitary(n, seed):
@@ -38,9 +38,9 @@ def random_unitary(n, seed):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def generator(n, kind):
+def generator(n, kind, hbar=1.0):
     """sol with B sorted diagonal, shuffled diagonal, or dense (U B U†)."""
-    sol = built(n)
+    sol = built(n, hbar)
     if kind == "sorted":
         return sol
     if kind == "shuffled":
@@ -92,6 +92,17 @@ def reference_trace(cfg, phi, base_point, tau):
     means = np.real(np.sum(psi.conj() * t_psi, axis=0))
     second_moments = np.real(np.sum(t_psi.conj() * t_psi, axis=0))
     return means[:-1], std_from_moments(means[:-1], second_moments[:-1]), means[-1]
+
+
+def reference_commuting_factor(cfg, t):
+    """K(t) in H's eigenbasis with N^2 exponentials exp(i(E_s - E_s')t/hbar),
+    the formula that the outer product of the propagator's phases replaced."""
+    e = eigh(cfg.H).eigenvalues
+    diff = e[:, None] - e[None, :]
+    np.fill_diagonal(diff, 1.0)
+    k = 1j * cfg.hbar / diff * (np.exp(1j * diff * t / cfg.hbar) - 1.0)
+    np.fill_diagonal(k, 0.0)
+    return k
 
 
 def reference_coefficients(sol, h):
@@ -150,6 +161,39 @@ def test_commuting_factor_matches_the_dense_formula(n, kind):
             assert np.all(np.abs(got - ref) <= bound)
         else:
             assert_agree(got, ref, kind)
+
+
+@pytest.mark.parametrize("n", [3, 64, 256])
+@pytest.mark.parametrize("kind", ["sorted", "dense"])
+@pytest.mark.parametrize("hbar", [0.5, 1.0])
+def test_commuting_factor_matches_the_exponential_formula(n, kind, hbar):
+    """K(t) from the propagator's phases against the N^2 exponentials, over one period."""
+    sol = generator(n, kind, hbar)
+    cfg = clock_of(sol)
+    v = cfg.propagator.spectral.eigenvectors
+    psi = random_state(n, 4)
+    period = invariant_set(sol, sol.B).period
+    for t in np.linspace(0.0, period, 8, endpoint=False):
+        k = reference_commuting_factor(cfg, t)
+        ref_mat, ref_psi = v @ k @ v.conj().T, v @ (k @ (v.conj().T @ psi))
+        got_mat, got_psi = commuting_factor_matrix(cfg, t), commuting_factor(cfg, t, psi)
+        assert np.linalg.norm(got_mat - ref_mat) <= 1e-12 * np.linalg.norm(ref_mat)
+        assert np.linalg.norm(got_psi - ref_psi) <= 1e-12 * np.linalg.norm(ref_psi)
+
+
+@pytest.mark.parametrize("n", [3, 64, 256])
+@pytest.mark.parametrize("kind", ["sorted", "shuffled"])
+def test_weak_weyl_relation_at_half_hbar(n, kind):
+    """T U(t) psi = U(t) (T + K(t)) psi with hbar = 0.5, U(t) from the dense formula."""
+    sol = generator(n, kind, 0.5)
+    cfg = clock_of(sol)
+    psi = random_state(n, 5)
+    period = invariant_set(sol, sol.B).period
+    assert period == pytest.approx(np.pi)
+    for t in np.linspace(0.0, period, 8, endpoint=False):
+        lhs = cfg.T @ reference_apply(cfg.H, t, psi, 0.5)
+        rhs = reference_apply(cfg.H, t, cfg.T @ psi + commuting_factor(cfg, t, psi), 0.5)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -234,9 +278,11 @@ def test_a_permuted_eigenbasis_is_never_multiplied(kind, monkeypatch):
     phi, psi, tau = domain_state(sol, 6), random_state(64, 7), np.linspace(-0.01, 0.01, 11)
     expected = (propagator(sol.B).apply(0.3, psi), clock_trace(cfg, phi, period, tau),
                 commuting_factor(cfg, 0.3, psi))
+    # the config's one decomposition of H, with NaN eigenvectors
     monkeypatch.setattr(clock, "propagator", lambda h, hbar, tol: Propagator(nan_sd, hbar))
-    monkeypatch.setattr(clock, "eigh", lambda h, tol: nan_sd)
     monkeypatch.setattr(invariant_sets, "eigh", lambda h, tol: nan_sd)
+    cfg = clock_of(sol)
+    assert cfg.propagator.spectral is nan_sd
     moved = Propagator(nan_sd).apply(0.3, psi)
     trace = clock_trace(cfg, phi, period, tau)
     k_psi = commuting_factor(cfg, 0.3, psi)

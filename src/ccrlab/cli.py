@@ -187,7 +187,7 @@ def cmd_clock(args, tol) -> int:
         base = float(n)
     phi = _domain_state(cfg.domain, args)
     tau = np.linspace(-args.window, args.window, args.samples)
-    trace = clock_trace(cfg, phi, base, tau, tol)
+    trace = clock_trace(cfg, phi, base, tau)
     fit = linearity_fit(trace)
     lines = ["tau,expectation,delta_T,delta_H,product"]
     for k in range(len(tau)):

@@ -17,16 +17,16 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     BasePointNotInvariant,
     ConstraintViolated,
-    DegenerateHamiltonian,
+    DimensionMismatch,
     StateOutsideDomain,
 )
 from .matrix_core import (
     Propagator,
     Subspace,
     as_matrix,
+    ccr_tolerance,
     commutator,
     eigenspace,
-    frobenius,
     propagator,
     relation_residual,
     require_hermitian,
@@ -47,7 +47,8 @@ class WindowTooWide(UserWarning):
 class ClockConfig:
     """Generator H and time operator T, certified against tol on construction.
 
-    H is decomposed once, into the propagator every clock routine reads.
+    H = V diag(E) V† is decomposed once, into the propagator every clock
+    routine reads, and T is kept in that eigenbasis as T_e = V†TV.
     """
 
     H: np.ndarray
@@ -57,6 +58,7 @@ class ClockConfig:
     hbar: float = 1.0
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False, compare=False)
     propagator: Propagator = field(init=False, repr=False, compare=False)
+    T_e: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (PASSAGE_TIME, TIME_OF_ARRIVAL):
@@ -66,14 +68,19 @@ class ClockConfig:
         h, t = as_matrix(self.H), require_hermitian(self.T, self.tol)
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "T", t)
+        if self.domain.basis.shape[0] != h.shape[0]:
+            raise DimensionMismatch(f"the domain is not a subspace of C^{h.shape[0]}")
         if self.domain.dim == 0:
             raise ConstraintViolated("clock domain is empty")
         worst = relation_residual(commutator(t, h), self.sign * 1j * self.hbar,
                                   self.domain.basis)
-        allowed = self.tol.ccr_tol * max(frobenius(t) * frobenius(h), 1.0)
-        if worst > allowed:
+        if worst > ccr_tolerance(t, h, self.tol):
             raise ConstraintViolated(
                 f"[T, H] - {self.sign:+d}*i*hbar fails on the domain (residual {worst:.3e})")
+        sd = self.propagator.spectral
+        t_e = sd.to_eigenbasis(t)  # V†T, then V†TV; for a permutation V, two gathers
+        t_e = t_e[:, sd.permutation] if sd.permutation is not None else t_e @ sd.eigenvectors
+        object.__setattr__(self, "T_e", require_hermitian(t_e, self.tol))
 
     @property
     def h_norm(self) -> float:
@@ -99,9 +106,9 @@ def clock_from_solution(sol: CanonicalSolution, h=None, sign: int = PASSAGE_TIME
 
 
 def heisenberg_T(cfg: ClockConfig, t: float) -> np.ndarray:
-    """T(t) = exp(iHt/hbar) T exp(-iHt/hbar)."""
-    u = cfg.propagator.unitary(t)
-    return u.conj().T @ cfg.T @ u
+    """T(t) = exp(iHt/hbar) T exp(-iHt/hbar) = V (conj(p) p^T ⊙ T_e) V†."""
+    v, p = cfg.propagator.spectral.eigenvectors, cfg.propagator.phases(t)
+    return v @ (np.outer(p.conj(), p) * cfg.T_e) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -117,21 +124,20 @@ class ClockTrace:
     hbar: float = 1.0
 
 
-def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
-                tol: ToleranceConfig = DEFAULT_TOL) -> ClockTrace:
+def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid) -> ClockTrace:
     """Expectation and uncertainty product of T(base_point + tau) on phi.
 
     The base point must belong to the invariant set of exp(-iHt/hbar)
     (checked by evolving the domain), and phi must be a unit domain state:
     NotNormalized or StateOutsideDomain otherwise, the latter when phi
-    lies more than tol.membership_tol from the domain.
+    lies more than cfg.tol.membership_tol from the domain.
 
     Every sample is read in the eigenbasis of the config's H = V diag(E) V†:
-    with T_e = V†TV and psi(t) = exp(-iEt/hbar) * V†phi,
-    <T(t)> = <psi(t), T_e psi(t)> and <T(t)^2> = ||T_e psi(t)||^2.  When
-    V is a permutation (a diagonal H), T_e and V†phi are gathers.
+    with psi(t) = exp(-iEt/hbar) * V†phi, <T(t)> = <psi(t), T_e psi(t)> and
+    <T(t)^2> = ||T_e psi(t)||^2.  When V is a permutation (a diagonal H),
+    V†phi is a gather.
     """
-    prop = cfg.propagator
+    prop, tol = cfg.propagator, cfg.tol
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     # the evolved domain basis and phi, measured from the domain in one pass
     dists = cfg.domain.distances(
@@ -146,14 +152,9 @@ def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
     tau_grid = np.asarray(tau_grid, dtype=float).reshape(-1)
     sd = prop.spectral
     phi_e = sd.to_eigenbasis(phi)
-    if sd.permutation is not None:
-        t_e = cfg.T[np.ix_(sd.permutation, sd.permutation)]
-    else:
-        t_e = sd.eigenvectors.conj().T @ cfg.T @ sd.eigenvectors
-    t_e = require_hermitian(t_e, tol)
     # one column per sample, and base_point itself last for t0
     psi = prop.phases(np.append(base_point + tau_grid, base_point)) * phi_e[:, None]
-    t_psi = t_e @ psi
+    t_psi = cfg.T_e @ psi
     means = np.real(np.sum(psi.conj() * t_psi, axis=0))
     second_moments = np.real(np.sum(t_psi.conj() * t_psi, axis=0))
     dts = std_from_moments(means[:-1], second_moments[:-1])
@@ -161,7 +162,7 @@ def clock_trace(cfg: ClockConfig, phi, base_point: float, tau_grid,
     e = sd.eigenvalues
     dh = float(std_from_moments(weights @ e, weights @ e ** 2))
     return ClockTrace(tau_grid, means[:-1], dts, np.full_like(tau_grid, dh), dts * dh,
-                      float(means[-1]), base_point, float(np.max(np.abs(e))), cfg.hbar)
+                      float(means[-1]), base_point, cfg.h_norm, cfg.hbar)
 
 
 @dataclass(frozen=True)
@@ -192,33 +193,18 @@ def linearity_fit(trace: ClockTrace) -> LinearityFit:
     return LinearityFit(float(slope), float(intercept), float(np.max(np.abs(resid))), qb)
 
 
-def _commuting_factor_eigenbasis(cfg: ClockConfig, t: float):
-    """H's spectral data and K(t) in H's eigenbasis.
-
-    Requires a nondegenerate generator; in its eigenbasis
-    K_ss' = i*hbar/(E_s - E_s') (exp(i(E_s - E_s')t/hbar) - 1) off the
-    diagonal and zero on it; the exponential is conj(p_s) p_s' of the phases p.
-    """
-    sd = cfg.propagator.spectral
-    if any(len(cl) > 1 for cl in sd.clusters):
-        raise DegenerateHamiltonian("the commuting-factor formula needs distinct eigenvalues")
-    e = sd.eigenvalues
-    diff = e[:, None] - e[None, :]
-    np.fill_diagonal(diff, 1.0)
+def _commuting_factor_eigenbasis(cfg: ClockConfig, t: float) -> np.ndarray:
+    """K(t) = T(t) - T in H's eigenbasis: (conj(p) p^T - 1) ⊙ T_e, with
+    conj(p_s) p_s' = exp(i(E_s - E_s')t/hbar) from the propagator's phases p."""
     p = cfg.propagator.phases(t)
-    k = 1j * cfg.hbar / diff * (np.outer(p.conj(), p) - 1.0)
-    np.fill_diagonal(k, 0.0)
-    return sd, k
+    return (np.outer(p.conj(), p) - 1.0) * cfg.T_e
 
 
 def commuting_factor_matrix(cfg: ClockConfig, t: float) -> np.ndarray:
-    """K(t) of the generalized weak Weyl relation T U(t) = U(t)(T + K(t)).
-
-    Requires a nondegenerate generator (DegenerateHamiltonian otherwise).
-    """
-    sd, k = _commuting_factor_eigenbasis(cfg, t)
-    v = sd.eigenvectors
-    return v @ k @ v.conj().T
+    """K(t) of the generalized weak Weyl relation T U(t) = U(t)(T + K(t)),
+    which holds for every Hermitian H with K(t) = T(t) - T."""
+    v = cfg.propagator.spectral.eigenvectors
+    return v @ _commuting_factor_eigenbasis(cfg, t) @ v.conj().T
 
 
 def commuting_factor(cfg: ClockConfig, t: float, psi) -> np.ndarray:
@@ -227,6 +213,6 @@ def commuting_factor(cfg: ClockConfig, t: float, psi) -> np.ndarray:
     K(t) is applied right to left in H's eigenbasis, V (K_e (V† psi)), which
     costs O(N^2) for any H, whose decomposition cfg already holds.
     """
-    sd, k = _commuting_factor_eigenbasis(cfg, t)
+    sd = cfg.propagator.spectral
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return sd.from_eigenbasis(k @ sd.to_eigenbasis(psi))
+    return sd.from_eigenbasis(_commuting_factor_eigenbasis(cfg, t) @ sd.to_eigenbasis(psi))

@@ -11,14 +11,17 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     CommutingPair,
+    NotNormalized,
     NotTraceless,
     RepeatedBValue,
+    TooSmall,
     TrivialMatrix,
     ZeroEigenvalueRequested,
 )
 from .matrix_core import (
     SpectralData,
     as_matrix,
+    ccr_tolerance,
     commutator,
     eigh,
     frobenius,
@@ -55,8 +58,7 @@ def classify(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RelationReport:
     a = require_hermitian(a, tol)
     b = require_hermitian(b, tol)
     c = commutator(a, b)
-    scale = max(frobenius(a) * frobenius(b), 1.0)
-    if frobenius(c) <= tol.ccr_tol * scale:
+    if frobenius(c) <= ccr_tolerance(a, b, tol):
         raise CommutingPair("[A, B] vanishes within tolerance")
     sd: SpectralData = eigh(1j * c, tol)
     zero_tol = max(sd.cluster_tol, tol.spectral_tol * frobenius(c))
@@ -133,10 +135,14 @@ def commutator_fixing_state(phi, c: complex, b_values=None,
     if abs(c) < 1e-14:
         raise ZeroEigenvalueRequested("the fixed eigenvalue must be nonzero")
     phi = np.asarray(phi, dtype=complex).reshape(-1)
+    n = phi.shape[0]
+    if n < 2:
+        raise TooSmall("phi needs at least two components to have an orthogonal partner")
     nrm = np.linalg.norm(phi)
+    if nrm == 0.0:
+        raise NotNormalized("phi = 0 cannot be normalized")
     if abs(nrm - 1.0) > tol.norm_tol:
         phi = phi / nrm
-    n = phi.shape[0]
     # complete phi to an orthonormal basis
     q, _ = np.linalg.qr(np.column_stack([phi, np.eye(n)]))
     q[:, 0] = phi

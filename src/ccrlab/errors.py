@@ -77,10 +77,6 @@ class BasePointNotInvariant(CcrError):
     pass
 
 
-class DegenerateHamiltonian(CcrError):
-    pass
-
-
 class EmptyInput(CcrError):
     pass
 

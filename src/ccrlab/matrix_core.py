@@ -28,6 +28,11 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, "fro"))
 
 
+def ccr_tolerance(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Bound on a commutation residual of (A, B): tol.ccr_tol * max(||A||_F ||B||_F, 1)."""
+    return tol.ccr_tol * max(frobenius(a) * frobenius(b), 1.0)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max-norm of M - M†, relative to the max-norm of M (0 for M = 0)."""
     m = as_matrix(m)
@@ -199,10 +204,17 @@ class SpectralData:
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
 
+    def _rows(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if x.shape[0] != self.dim:
+            raise DimensionMismatch(f"{x.shape[0]} rows for a {self.dim}-dimensional eigenbasis")
+        return x
+
     def to_eigenbasis(self, x) -> np.ndarray:
         """V† x for a vector or a matrix of columns: a gather of x's rows
-        when the eigenbasis V is a permutation, else a dense product."""
-        x = np.asarray(x, dtype=complex)
+        when the eigenbasis V is a permutation, else a dense product.
+        Here and in from_eigenbasis, DimensionMismatch unless x has N rows."""
+        x = self._rows(x)
         if self.permutation is not None:
             return x[self.permutation]
         return self.eigenvectors.conj().T @ x
@@ -210,7 +222,7 @@ class SpectralData:
     def from_eigenbasis(self, y) -> np.ndarray:
         """V y for a vector or a matrix of columns: a scatter of y's rows
         when the eigenbasis V is a permutation, else a dense product."""
-        y = np.asarray(y, dtype=complex)
+        y = self._rows(y)
         if self.permutation is not None:
             x = np.empty_like(y)
             x[self.permutation] = y

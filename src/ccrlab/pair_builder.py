@@ -28,6 +28,7 @@ from .errors import (
 )
 from .matrix_core import (
     Subspace,
+    ccr_tolerance,
     commutator,
     eigenspace,
     frobenius,
@@ -161,7 +162,7 @@ class CanonicalSolution:
         return relation_residual(self.commutator(), self.c, self.domain.basis)
 
     def ccr_tolerance(self, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-        return tol.ccr_tol * max(frobenius(self.A) * frobenius(self.B), 1.0)
+        return ccr_tolerance(self.A, self.B, tol)
 
     def conjugated(self, u: np.ndarray, provenance: Optional[str] = None) -> "CanonicalSolution":
         """The unitarily equivalent solution (U†AU, U†BU, U†D)."""

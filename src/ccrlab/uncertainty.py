@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import NotNormalized, StateOutsideDomain
+from .errors import StateOutsideDomain
 from .matrix_core import require_hermitian, require_normalized
 from .pair_builder import CanonicalSolution
 
@@ -32,9 +32,7 @@ def expectation(a, phi) -> float:
 def uncertainty(a, phi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Standard deviation sqrt(<A^2> - <A>^2) of Hermitian A in state phi."""
     a = require_hermitian(a, tol)
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(phi) - 1.0) > tol.norm_tol:
-        raise NotNormalized("state must have unit norm")
+    phi = require_normalized(phi, tol)
     aphi = a @ phi
     mean = np.real(np.vdot(phi, aphi))
     return float(std_from_moments(mean, np.real(np.vdot(aphi, aphi))))

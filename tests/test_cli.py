@@ -144,6 +144,16 @@ def test_invariant_set_zero_only(tmp_path, capsys):
     assert json.loads(stdout)["kind"] == "zero_only"
 
 
+def test_invariant_set_generator_of_another_dimension_exit_2(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    run(capsys, "build", "--levels", "0,1,2", "--out", str(out))
+    h = json.dumps(np.diag([1.0, 2.0, 3.0, 4.0]).tolist())
+    code, stdout, err = run(capsys, "invariant-set", "--solution", str(out), "--h", h)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_audit_command(tmp_path, capsys):
     out = tmp_path / "sol.json"
     run(capsys, "build", "--levels", "0,1", "--out", str(out))

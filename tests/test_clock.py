@@ -17,7 +17,7 @@ from ccrlab.clock import (
 )
 from ccrlab.config import DEFAULT_TOL
 from ccrlab.invariant_sets import InvariantKind, invariant_set
-from ccrlab.matrix_core import evolve
+from ccrlab.matrix_core import Subspace, evolve
 from ccrlab.pair_builder import (
     CATALOG_FAMILIES,
     CanonicalSolution,
@@ -170,11 +170,16 @@ def test_commuting_factor_derivative_on_domain():
     assert np.linalg.norm(commuting_factor(cfg, h, phi) / h - phi) <= 1e-3
 
 
-def test_commuting_factor_rejects_degenerate_generator():
+def test_commuting_factor_of_a_degenerate_generator():
+    """K(t) = T(t) - T needs no distinct eigenvalues; it vanishes within a level."""
     sol = build_degenerate(SpectrumSpec((0.0, 1.0), (2, 1)))
     cfg = clock_from_solution(sol)
-    with pytest.raises(errors.DegenerateHamiltonian):
-        commuting_factor(cfg, 0.5, np.array([1.0, 0.0, 0.0]))
+    k = commuting_factor_matrix(cfg, 0.5)
+    assert np.max(np.abs(k[:2, :2])) <= 1e-15 * np.linalg.norm(cfg.T)
+    u = evolve(cfg.H, 0.5)
+    assert np.linalg.norm(cfg.T @ u - u @ (cfg.T + k)) <= 1e-12 * np.linalg.norm(cfg.T)
+    psi = np.array([1.0, 0.0, 0.0])
+    assert np.linalg.norm(commuting_factor(cfg, 0.5, psi) - k @ psi) <= 1e-15
 
 
 def test_quadratic_residual_scaling_about_offset_center():
@@ -287,6 +292,12 @@ def test_dense_generator_is_decomposed_once_per_config(monkeypatch):
     heisenberg_T(cfg, 0.3)
     assert cfg.h_norm == pytest.approx(9.0, rel=1e-12)
     assert len(calls) == 1
+
+
+def test_config_rejects_a_domain_of_another_dimension():
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate((0.0, 1.0, 2.0)))
+    with pytest.raises(errors.DimensionMismatch):
+        ClockConfig(sol.B, sol.A, Subspace(np.eye(4, dtype=complex)[:, :2]))
 
 
 def test_trace_rejects_unnormalized_state():

@@ -217,3 +217,13 @@ def test_commutator_fixing_state_random():
 def test_commutator_fixing_state_rejects_zero():
     with pytest.raises(errors.ZeroEigenvalueRequested):
         commutator_fixing_state(np.array([1.0, 0.0]), 0.0)
+
+
+def test_commutator_fixing_state_rejects_a_zero_state():
+    with pytest.raises(errors.NotNormalized):
+        commutator_fixing_state(np.zeros(3), 1j)
+
+
+def test_commutator_fixing_state_rejects_a_one_dimensional_state():
+    with pytest.raises(errors.TooSmall):
+        commutator_fixing_state(np.array([1.0]), 1j)

@@ -15,12 +15,18 @@ import numpy as np
 import pytest
 
 from ccrlab import clock, invariant_sets
-from ccrlab.clock import ClockConfig, clock_trace, commuting_factor, commuting_factor_matrix
+from ccrlab.clock import (
+    ClockConfig,
+    clock_trace,
+    commuting_factor,
+    commuting_factor_matrix,
+    heisenberg_T,
+)
 from ccrlab.config import DEFAULT_TOL, ToleranceConfig
 from ccrlab.errors import StateOutsideDomain
 from ccrlab.invariant_sets import _membership_residual, _retained_differences, invariant_set
 from ccrlab.matrix_core import Propagator, Subspace, eigh, propagator
-from ccrlab.pair_builder import PairParams, SpectrumSpec, build_nondegenerate
+from ccrlab.pair_builder import PairParams, SpectrumSpec, build_degenerate, build_nondegenerate
 from ccrlab.uncertainty import std_from_moments
 
 SIZES = [2, 3, 64, 256]
@@ -38,13 +44,25 @@ def random_unitary(n, seed):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def degenerate(n, hbar=1.0):
+    """A canonical pair on integer levels, each 4-fold ((2, 1) for n = 3)."""
+    mults = (2, 1) if n == 3 else (4,) * (n // 4)
+    levels = np.cumsum(np.random.default_rng(n).integers(1, 4, size=len(mults))).astype(float)
+    return build_degenerate(SpectrumSpec(levels, mults), PairParams(hbar=hbar))
+
+
 def generator(n, kind, hbar=1.0):
-    """sol with B sorted diagonal, shuffled diagonal, or dense (U B U†)."""
+    """sol with B sorted diagonal, shuffled diagonal, or dense (U B U†); or B
+    unchanged and A rephased by a diagonal unitary; or a degenerate B."""
+    if kind == "degenerate":
+        return degenerate(n, hbar)
     sol = built(n, hbar)
     if kind == "sorted":
         return sol
     if kind == "shuffled":
         return sol.conjugated(np.eye(n)[:, np.random.default_rng(n + 1).permutation(n)])
+    if kind == "phased":
+        return sol.conjugated(np.diag(np.exp(2j * np.pi * np.random.default_rng(n + 3).random(n))))
     return sol.conjugated(random_unitary(n, n + 2))
 
 
@@ -95,14 +113,11 @@ def reference_trace(cfg, phi, base_point, tau):
 
 
 def reference_commuting_factor(cfg, t):
-    """K(t) in H's eigenbasis with N^2 exponentials exp(i(E_s - E_s')t/hbar),
-    the formula that the outer product of the propagator's phases replaced."""
-    e = eigh(cfg.H).eigenvalues
-    diff = e[:, None] - e[None, :]
-    np.fill_diagonal(diff, 1.0)
-    k = 1j * cfg.hbar / diff * (np.exp(1j * diff * t / cfg.hbar) - 1.0)
-    np.fill_diagonal(k, 0.0)
-    return k
+    """K(t) = T(t) - T in H's eigenbasis: N^2 exponentials exp(i(E_s - E_s')t/hbar)
+    times V†TV as a dense product, in place of the propagator's phases and T_e."""
+    sd = eigh(cfg.H)
+    e, v = sd.eigenvalues, sd.eigenvectors
+    return (np.exp(1j * (e[:, None] - e[None, :]) * t / cfg.hbar) - 1.0) * (v.conj().T @ cfg.T @ v)
 
 
 def reference_coefficients(sol, h):
@@ -164,10 +179,11 @@ def test_commuting_factor_matches_the_dense_formula(n, kind):
 
 
 @pytest.mark.parametrize("n", [3, 64, 256])
-@pytest.mark.parametrize("kind", ["sorted", "dense"])
+@pytest.mark.parametrize("kind", ["sorted", "dense", "phased", "degenerate"])
 @pytest.mark.parametrize("hbar", [0.5, 1.0])
 def test_commuting_factor_matches_the_exponential_formula(n, kind, hbar):
-    """K(t) from the propagator's phases against the N^2 exponentials, over one period."""
+    """K(t) from the propagator's phases and T_e against N^2 exponentials times
+    V†TV, over one period."""
     sol = generator(n, kind, hbar)
     cfg = clock_of(sol)
     v = cfg.propagator.spectral.eigenvectors
@@ -181,19 +197,43 @@ def test_commuting_factor_matches_the_exponential_formula(n, kind, hbar):
         assert np.linalg.norm(got_psi - ref_psi) <= 1e-12 * np.linalg.norm(ref_psi)
 
 
-@pytest.mark.parametrize("n", [3, 64, 256])
-@pytest.mark.parametrize("kind", ["sorted", "shuffled"])
-def test_weak_weyl_relation_at_half_hbar(n, kind):
-    """T U(t) psi = U(t) (T + K(t)) psi with hbar = 0.5, U(t) from the dense formula."""
-    sol = generator(n, kind, 0.5)
+def assert_weak_weyl_relation(n, kind, hbar):
+    """T U(t) psi = U(t) (T + K(t)) psi, U(t) from the dense formula."""
+    sol = generator(n, kind, hbar)
     cfg = clock_of(sol)
     psi = random_state(n, 5)
     period = invariant_set(sol, sol.B).period
-    assert period == pytest.approx(np.pi)
+    assert period == pytest.approx(2 * np.pi * hbar)
     for t in np.linspace(0.0, period, 8, endpoint=False):
-        lhs = cfg.T @ reference_apply(cfg.H, t, psi, 0.5)
-        rhs = reference_apply(cfg.H, t, cfg.T @ psi + commuting_factor(cfg, t, psi), 0.5)
+        lhs = cfg.T @ reference_apply(cfg.H, t, psi, hbar)
+        rhs = reference_apply(cfg.H, t, cfg.T @ psi + commuting_factor(cfg, t, psi), hbar)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+
+
+# conjugated (dense H), rephased (H unchanged) and degenerate clocks as well
+WEYL_KINDS = ["sorted", "shuffled", "dense", "phased", "degenerate"]
+
+
+@pytest.mark.parametrize("n", [3, 64, 256])
+@pytest.mark.parametrize("kind", WEYL_KINDS)
+def test_weak_weyl_relation_at_half_hbar(n, kind):
+    assert_weak_weyl_relation(n, kind, 0.5)
+
+
+@pytest.mark.parametrize("n", [3, 64, 256])
+@pytest.mark.parametrize("kind", WEYL_KINDS)
+def test_weak_weyl_relation_at_unit_hbar(n, kind):
+    assert_weak_weyl_relation(n, kind, 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 64])
+@pytest.mark.parametrize("kind", ["sorted", "shuffled", "dense", "phased", "degenerate"])
+def test_commuting_factor_is_the_heisenberg_increment(n, kind):
+    """K(t) = T(t) - T."""
+    cfg = clock_of(generator(n, kind))
+    for t in (0.0, 0.7, 2.9):
+        k = commuting_factor_matrix(cfg, t)
+        assert np.linalg.norm(k - (heisenberg_T(cfg, t) - cfg.T)) <= 1e-12 * np.linalg.norm(cfg.T)
 
 
 @pytest.mark.parametrize("n", SIZES)

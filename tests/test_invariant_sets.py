@@ -154,3 +154,9 @@ def test_commuting_generator_never_full_line():
     sol = nondeg((0.0, 1.0, 3.0))
     iset = invariant_set(sol, sol.A)
     assert iset.kind is not InvariantKind.FULL_LINE
+
+
+@pytest.mark.parametrize("h", [np.diag([1.0, 2.0]), np.diag([1.0, 2.0, 3.0, 4.0])])
+def test_generator_of_another_dimension_rejected(h):
+    with pytest.raises(errors.DimensionMismatch):
+        invariant_set(nondeg((0.0, 1.0, 2.0)), h)

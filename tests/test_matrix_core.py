@@ -119,6 +119,18 @@ def test_commutator_dimension_mismatch():
         commutator(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("h", [np.diag([3.0, 1.0, 2.0]), random_hermitian(3, 5)])
+@pytest.mark.parametrize("rows", [2, 4])
+def test_eigenbasis_maps_reject_an_operand_of_another_dimension(h, rows):
+    """A gather (permuted eigenbasis) and a dense product alike."""
+    sd = eigh(h)
+    for x in (np.ones(rows), np.ones((rows, 2))):
+        with pytest.raises(errors.DimensionMismatch):
+            sd.to_eigenbasis(x)
+        with pytest.raises(errors.DimensionMismatch):
+            sd.from_eigenbasis(x)
+
+
 def test_commutator_identities():
     a = random_hermitian(5, 7)
     b = random_hermitian(5, 8)

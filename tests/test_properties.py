@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccrlab.clock import clock_from_solution, commuting_factor
 from ccrlab.invariant_sets import GcdConfig, real_gcd
 from ccrlab.matrix_core import commutator, evolve
 from ccrlab.pair_builder import SpectrumSpec, build_nondegenerate
@@ -62,3 +63,18 @@ def test_uncertainty_floor_random_solutions(n, seed):
     phi = phi / np.linalg.norm(phi)
     report = audit_pair(sol, phi)
     assert report.product >= 0.5 - 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10 ** 6),
+       st.floats(-20.0, 20.0, allow_nan=False))
+def test_commuting_factor_is_covariant(n, seed, t):
+    """The clock (U†TU, U†HU) has K_U(t) = U† K(t) U."""
+    rng = np.random.default_rng(seed)
+    sol = build_nondegenerate(SpectrumSpec.nondegenerate(np.cumsum(rng.uniform(0.5, 2.0, n))))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    cfg, cfg_u = clock_from_solution(sol), clock_from_solution(sol.conjugated(u))
+    got = commuting_factor(cfg_u, t, u.conj().T @ psi)
+    want = u.conj().T @ commuting_factor(cfg, t, psi)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(sol.A) * np.linalg.norm(psi)
